@@ -3,6 +3,9 @@
 //  * one HOSR training step scales linearly in the layer count k;
 //  * a HOSR epoch is within a small constant of a TrustSVD epoch
 //    ("the complexity is compatible to that of TrustSVD").
+// Every case runs its kernels on util::ThreadPool workers, so each one
+// reports wall time (UseRealTime): the harness's default per-thread CPU
+// time would miss the workers' share and overstate throughput.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -63,7 +66,8 @@ void BM_SpmmScalingNnz(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(laplacian.nnz()) * 10);
 }
-BENCHMARK(BM_SpmmScalingNnz)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_SpmmScalingNnz)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
+    ->UseRealTime();
 
 // --- SpMM scaling in d --------------------------------------------------------
 
@@ -83,7 +87,8 @@ void BM_SpmmScalingDim(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(laplacian.nnz() * d));
 }
-BENCHMARK(BM_SpmmScalingDim)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_SpmmScalingDim)->Arg(5)->Arg(10)->Arg(20)->Arg(40)
+    ->UseRealTime();
 
 // --- GEMM baseline -------------------------------------------------------------
 
@@ -101,7 +106,8 @@ void BM_GemmEmbeddingTransform(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(a.rows() * d * d));
 }
-BENCHMARK(BM_GemmEmbeddingTransform)->Arg(5)->Arg(10)->Arg(20);
+BENCHMARK(BM_GemmEmbeddingTransform)->Arg(5)->Arg(10)->Arg(20)
+    ->UseRealTime();
 
 // --- One HOSR training step vs layer count ------------------------------------
 
@@ -125,7 +131,8 @@ void BM_HosrStepVsLayers(benchmark::State& state) {
     benchmark::DoNotOptimize(model.params()->at(0)->grad.data());
   }
 }
-BENCHMARK(BM_HosrStepVsLayers)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_HosrStepVsLayers)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
+    ->UseRealTime();
 
 // --- HOSR vs TrustSVD epoch cost (Sec. 2.5 comparability claim) -----------------
 
@@ -146,7 +153,7 @@ void BM_TrainStepTrustSvd(benchmark::State& state) {
     benchmark::DoNotOptimize(model.params()->at(0)->grad.data());
   }
 }
-BENCHMARK(BM_TrainStepTrustSvd);
+BENCHMARK(BM_TrainStepTrustSvd)->UseRealTime();
 
 void BM_TrainStepHosr3(benchmark::State& state) {
   const data::Dataset& dataset = BenchDataset();
@@ -167,7 +174,7 @@ void BM_TrainStepHosr3(benchmark::State& state) {
     benchmark::DoNotOptimize(model.params()->at(0)->grad.data());
   }
 }
-BENCHMARK(BM_TrainStepHosr3);
+BENCHMARK(BM_TrainStepHosr3)->UseRealTime();
 
 // --- Full-score inference (the |Y|d prediction term) ----------------------------
 
@@ -188,7 +195,7 @@ void BM_HosrScoreAllItems(benchmark::State& state) {
                           static_cast<int64_t>(users.size()) *
                           dataset.num_items());
 }
-BENCHMARK(BM_HosrScoreAllItems);
+BENCHMARK(BM_HosrScoreAllItems)->UseRealTime();
 
 // Times `steps` training steps of `model` directly (outside the benchmark
 // harness) and returns the average microseconds per step.

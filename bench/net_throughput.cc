@@ -2,8 +2,10 @@
 // (docs/SERVING.md "Network serving"): a NetServer over a tiny frozen
 // BprMf snapshot, hammered by persistent-connection clients replaying the
 // standard zipf-skewed top-10 stream, against the same stream driven
-// straight through the HardenedExecutor in process. Publishes wire QPS,
-// exact latency percentiles, and the wire-overhead ratio as gauges:
+// straight through the server's HardenedExecutor in process. The server
+// reads the snapshot through a SnapshotManager with its watcher off.
+// Publishes wire QPS, exact latency percentiles, and the wire-overhead
+// ratio as gauges:
 //
 //   bench/net_throughput/loopback_qps     queries/s over real TCP sockets
 //   bench/net_throughput/p50_us           wire round-trip percentiles
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "obs/trace.h"
 #include "serve/engine.h"
 #include "serve/hardened.h"
+#include "serve/reload.h"
 #include "serve/snapshot.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -130,16 +134,21 @@ int main(int argc, char** argv) {
   models::BprMf model(kNumUsers, kNumItems, config);
   auto built = serve::BuildSnapshot(model);
   HOSR_CHECK(built.ok());
-  const serve::InferenceEngine engine(std::move(built).value());
-  const serve::HardenedExecutor executor(&engine, serve::HardenedOptions{});
+  serve::SnapshotManager::Options manager_options;
+  manager_options.path = "net_throughput.snap";  // label only; never read
+  auto manager = serve::SnapshotManager::Create(std::move(manager_options),
+                                                std::move(built).value());
+  HOSR_CHECK(manager.ok()) << manager.status();
+  const std::shared_ptr<const serve::ServingState> state =
+      (*manager)->Acquire();
+  const serve::HardenedExecutor& executor = state->executor();
 
   const auto requests =
       net::SyntheticStream(kNumUsers, kNumRequests, kTopK, /*zipf=*/0.9,
                            /*seed=*/17);
 
   net::NetServer::Options options;
-  options.engine = &engine;
-  options.executor = &executor;
+  options.manager = manager->get();
   options.worker_threads = static_cast<int>(NumClients());
   net::NetServer server(options);
   HOSR_CHECK(server.Start().ok());

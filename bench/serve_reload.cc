@@ -108,8 +108,9 @@ int main(int argc, char** argv) {
   HOSR_CHECK(built.ok());
   const serve::ModelSnapshot snapshot = std::move(built).value();
 
-  // Static side: the pre-reload serving stack, pinned for the process
-  // lifetime, exactly what hosr_serve builds with --reload=0.
+  // Static side: a bare engine + executor pinned for the process lifetime,
+  // with no manager in front — the baseline the reload side is priced
+  // against.
   const serve::InferenceEngine engine(snapshot, &dataset.interactions);
   const serve::HardenedExecutor executor(&engine, serve::HardenedOptions{});
 

@@ -38,15 +38,8 @@ std::string ErrorResponseFrame(const util::Status& status) {
 }  // namespace
 
 NetServer::NetServer(Options options) : options_(options) {
-  HOSR_CHECK(options_.engine != nullptr || options_.manager != nullptr)
-      << "NetServer needs an engine or a snapshot manager";
-  HOSR_CHECK(options_.executor != nullptr || options_.batcher != nullptr ||
-             options_.manager != nullptr)
-      << "NetServer needs an executor, a batcher, or a snapshot manager";
-  // The batcher holds one fixed engine for its lifetime; it cannot follow
-  // a hot swap.
-  HOSR_CHECK(options_.batcher == nullptr || options_.manager == nullptr)
-      << "NetServer cannot combine a batcher with a snapshot manager";
+  HOSR_CHECK(options_.manager != nullptr)
+      << "NetServer needs a snapshot manager";
   HOSR_CHECK(options_.worker_threads > 0);
 }
 
@@ -304,24 +297,17 @@ bool NetServer::ServeOneFrame(int fd) {
   // — ranking, fallback, scores, cache key — comes from this state even if
   // a hot swap lands mid-request. The shared_ptr keeps the old engine
   // alive until the response is on the wire.
-  std::shared_ptr<const serve::ServingState> state;
-  const serve::InferenceEngine* engine = options_.engine;
-  const serve::HardenedExecutor* executor = options_.executor;
-  uint64_t generation = 0;
-  if (options_.manager != nullptr) {
-    state = options_.manager->Acquire();
-    engine = &state->engine();
-    executor = &state->executor();
-    generation = state->version();
-  }
+  const std::shared_ptr<const serve::ServingState> state =
+      options_.manager->Acquire();
+  const serve::InferenceEngine& engine = state->engine();
 
   switch (static_cast<FrameType>(frame->type)) {
     case FrameType::kInfo: {
       ServerInfo info;
-      info.num_users = engine->num_users();
-      info.num_items = engine->num_items();
-      info.dim = engine->dim();
-      info.model_name = engine->snapshot().model_name;
+      info.num_users = engine.num_users();
+      info.num_items = engine.num_items();
+      info.dim = engine.dim();
+      info.model_name = engine.snapshot().model_name;
       return WriteResponseFrame(
           fd, EncodeFrame(FrameType::kInfoReply,
                                 EncodeServerInfo(info)));
@@ -378,32 +364,11 @@ bool NetServer::ServeOneFrame(int fd) {
                 std::chrono::milliseconds(request->deadline_ms)
           : serve::kNoDeadline;
 
-  util::StatusOr<serve::ServeResponse> served =
-      util::Status::Internal("unreached");
-  bool from_cache = false;
-  {
+  util::StatusOr<serve::ServeResponse> served = [&] {
     HOSR_TRACE_SPAN("net/request");
-    if (options_.batcher != nullptr) {
-      served = options_.batcher->Submit(request->user, request->k, deadline)
-                   .get();
-    } else {
-      if (options_.cache != nullptr) {
-        if (auto hit =
-                options_.cache->Get(request->user, request->k, generation)) {
-          served = serve::ServeResponse{std::move(*hit), /*degraded=*/false};
-          from_cache = true;
-        }
-      }
-      if (!from_cache) {
-        served = executor->Execute(request->user, request->k, token,
-                                   deadline);
-        if (served.ok() && !served->degraded && options_.cache != nullptr) {
-          options_.cache->Put(request->user, request->k, served->items,
-                              generation);
-        }
-      }
-    }
-  }
+    return state->Serve(request->user, request->k, token, deadline,
+                        options_.cache);
+  }();
   if (options_.breaker != nullptr) {
     options_.breaker->ReportOutcome(/*failed=*/!served.ok());
   }
@@ -411,13 +376,13 @@ bool NetServer::ServeOneFrame(int fd) {
   QueryResponse response;
   if (served.ok()) {
     response.status_code = static_cast<uint32_t>(util::StatusCode::kOk);
-    if (from_cache) response.flags |= kResponseFromCache;
+    if (served->from_cache) response.flags |= kResponseFromCache;
     if (served->degraded) response.flags |= kResponseDegraded;
     response.items = std::move(served->items);
     response.scores.reserve(response.items.size());
     for (const uint32_t item : response.items) {
       response.scores.push_back(
-          engine->snapshot().Score(request->user, item));
+          engine.snapshot().Score(request->user, item));
     }
   } else {
     response.status_code = static_cast<uint32_t>(served.status().code());

@@ -11,10 +11,12 @@
 namespace hosr::serve {
 
 // A served ranking plus how it was produced: `degraded` marks popularity
-// fallback results so clients can distinguish them from full-engine answers.
+// fallback results so clients can distinguish them from full-engine answers;
+// `from_cache` marks answers replayed from a ResultCache.
 struct ServeResponse {
   RankedItems items;
   bool degraded = false;
+  bool from_cache = false;
 };
 
 struct HardenedOptions {
@@ -33,8 +35,9 @@ struct HardenedOptions {
   bool use_wall_clock = false;
 };
 
-// Per-request hardening pipeline shared by the RequestBatcher and the
-// hosr_serve replay driver. One Execute() call is one request:
+// Per-request hardening pipeline behind every serving path (the NetServer
+// and the hosr_serve replay driver, via ServingState::Serve). One Execute()
+// call is one request:
 //
 //   1. deadline gate — an already-expired request fails fast with
 //      DeadlineExceeded (never reaches the engine);

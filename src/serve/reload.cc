@@ -60,6 +60,24 @@ ServingState::ServingState(uint64_t version, std::string path,
                 WithFallback(hardened,
                              degraded_fallback ? &degraded_ : nullptr)) {}
 
+util::StatusOr<ServeResponse> ServingState::Serve(uint32_t user, uint32_t k,
+                                                  uint64_t token,
+                                                  Deadline deadline,
+                                                  ResultCache* cache) const {
+  if (cache != nullptr) {
+    if (auto hit = cache->Get(user, k, version_)) {
+      return ServeResponse{std::move(*hit), /*degraded=*/false,
+                           /*from_cache=*/true};
+    }
+  }
+  util::StatusOr<ServeResponse> served =
+      executor_.Execute(user, k, token, deadline);
+  if (cache != nullptr && served.ok() && !served->degraded) {
+    cache->Put(user, k, served->items, version_);
+  }
+  return served;
+}
+
 SnapshotManager::SnapshotManager(Options options)
     : options_(std::move(options)) {}
 

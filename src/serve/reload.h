@@ -43,6 +43,14 @@ class ServingState {
   const InferenceEngine& engine() const { return engine_; }
   const HardenedExecutor& executor() const { return executor_; }
 
+  // Serves one request from this state: a hit in `cache` (optional; entries
+  // keyed by version()) or else executor().Execute(), whose full-fidelity
+  // answers then fill the cache. Every serving path — the NetServer and the
+  // hosr_serve replay driver — answers requests through this one call.
+  util::StatusOr<ServeResponse> Serve(uint32_t user, uint32_t k,
+                                      uint64_t token, Deadline deadline,
+                                      ResultCache* cache) const;
+
  private:
   uint64_t version_;
   std::string path_;

@@ -14,10 +14,10 @@
 #include "net/socket.h"
 #include "net/stream.h"
 #include "net/wire.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/engine.h"
 #include "serve/hardened.h"
+#include "serve/reload.h"
 #include "serve/snapshot.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -249,7 +249,10 @@ TEST(StreamTest, LatencySummaryPercentilesAreExact) {
 // --- live server -------------------------------------------------------------
 
 // One tiny frozen model shared by every server test: deterministic factors
-// (BprMf's init is seeded), no seen-item filtering, dim 6.
+// (BprMf's init is seeded), no seen-item filtering, dim 6. The server reads
+// it through a SnapshotManager with the watcher off; engine_ is an
+// independent engine over the same snapshot, the reference answers are
+// checked against.
 class NetServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -259,24 +262,30 @@ class NetServerTest : public ::testing::Test {
     models::BprMf model(/*num_users=*/40, /*num_items=*/60, config);
     auto snapshot = serve::BuildSnapshot(model);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-    engine_ = std::make_unique<serve::InferenceEngine>(
-        std::move(snapshot).value());
-    executor_ = std::make_unique<serve::HardenedExecutor>(
-        engine_.get(), serve::HardenedOptions{});
+    engine_ = std::make_unique<serve::InferenceEngine>(*snapshot);
+    serve::SnapshotManager::Options manager_options;
+    manager_options.path = "net_test.snap";  // label only; never read
+    manager_options.degraded_fallback = false;  // engine faults surface
+    manager_options.cache = &cache_;
+    auto manager = serve::SnapshotManager::Create(
+        std::move(manager_options), std::move(snapshot).value());
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    manager_ = std::move(manager).value();
   }
 
   void TearDown() override { fault::FaultRegistry::Global().Disarm(); }
 
   NetServer::Options BaseOptions() {
     NetServer::Options options;
-    options.engine = engine_.get();
-    options.executor = executor_.get();
+    options.manager = manager_.get();
     options.worker_threads = 2;
     return options;
   }
 
   std::unique_ptr<serve::InferenceEngine> engine_;
-  std::unique_ptr<serve::HardenedExecutor> executor_;
+  // Generation-advanced by manager_; tests opt in via options.cache.
+  serve::ResultCache cache_;
+  std::unique_ptr<serve::SnapshotManager> manager_;
 };
 
 TEST_F(NetServerTest, QueryIsBitIdenticalToEngine) {
@@ -318,9 +327,8 @@ TEST_F(NetServerTest, InfoReportsModelMetadata) {
 }
 
 TEST_F(NetServerTest, SecondIdenticalQueryIsServedFromCache) {
-  serve::ResultCache cache;
   NetServer::Options options = BaseOptions();
-  options.cache = &cache;
+  options.cache = &cache_;
   NetServer server(options);
   ASSERT_TRUE(server.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", server.port());
@@ -348,6 +356,14 @@ TEST_F(NetServerTest, ApplicationErrorKeepsConnectionOpen) {
   auto good = client->Query(1, 5);
   ASSERT_TRUE(good.ok()) << good.status();
   EXPECT_EQ(good->items, engine_->TopKForUser(1, 5));
+  // k = 0 is an invalid request, answered on the wire...
+  auto zero_k = client->Query(1, /*k=*/0);
+  ASSERT_FALSE(zero_k.ok());
+  EXPECT_EQ(zero_k.status().code(), util::StatusCode::kInvalidArgument);
+  // ...and the connection keeps serving after it too.
+  auto after = client->Query(2, 5);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->items, engine_->TopKForUser(2, 5));
 }
 
 TEST_F(NetServerTest, GarbageBytesGetErrorThenServerStillServes) {
@@ -457,10 +473,11 @@ TEST_F(NetServerTest, ExpiredDeadlineFailsFastInExecutor) {
   // already-expired deadline must fail fast without touching the engine.
   const auto expired =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
-  auto response = executor_->Execute(1, 10, /*token=*/1, expired);
+  const serve::HardenedExecutor& executor = manager_->Acquire()->executor();
+  auto response = executor.Execute(1, 10, /*token=*/1, expired);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), util::StatusCode::kDeadlineExceeded);
-  auto unbounded = executor_->Execute(1, 10, /*token=*/2, serve::kNoDeadline);
+  auto unbounded = executor.Execute(1, 10, /*token=*/2, serve::kNoDeadline);
   ASSERT_TRUE(unbounded.ok()) << unbounded.status();
 }
 
@@ -555,23 +572,6 @@ TEST_F(NetServerTest, InjectedWriteFaultDropsConnection) {
   EXPECT_EQ(dropped.status().code(), util::StatusCode::kUnavailable);
   ASSERT_TRUE(client->Reconnect().ok());
   EXPECT_TRUE(client->Query(0, 5).ok());
-}
-
-TEST_F(NetServerTest, BatchedPipelineServesIdenticalAnswers) {
-  serve::RequestBatcher batcher(engine_.get());
-  NetServer::Options options = BaseOptions();
-  options.batcher = &batcher;
-  NetServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  for (uint32_t user = 0; user < 10; ++user) {
-    auto result = client->Query(user, 10);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->items, engine_->TopKForUser(user, 10));
-  }
-  server.Stop();
-  batcher.Stop();
 }
 
 TEST_F(NetServerTest, ConcurrentClientsAllGetCorrectAnswers) {

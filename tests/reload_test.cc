@@ -576,11 +576,13 @@ TEST_F(ReloadServerTest, HotSwapUnderLiveTrafficDropsNothing) {
 }
 
 TEST_F(ReloadServerTest, BreakerShedsAtTheWireAndRecovers) {
-  ModelSnapshot snapshot = MakeSnapshot(11);
-  InferenceEngine engine(std::move(snapshot));
-  HardenedOptions hardened;
-  hardened.retry.max_attempts = 1;  // every failure surfaces immediately
-  HardenedExecutor executor(&engine, hardened);
+  SnapshotManager::Options manager_options;
+  manager_options.path = path_;
+  manager_options.hardened.retry.max_attempts = 1;  // failures surface at once
+  manager_options.degraded_fallback = false;
+  auto manager =
+      SnapshotManager::Create(std::move(manager_options), MakeSnapshot(11));
+  ASSERT_TRUE(manager.ok()) << manager.status();
 
   CircuitBreaker::Options breaker_options;
   breaker_options.window = 8;
@@ -590,8 +592,7 @@ TEST_F(ReloadServerTest, BreakerShedsAtTheWireAndRecovers) {
   CircuitBreaker breaker(breaker_options);
 
   net::NetServer::Options options;
-  options.engine = &engine;
-  options.executor = &executor;
+  options.manager = manager->get();
   options.breaker = &breaker;
   options.worker_threads = 1;
   net::NetServer server(options);

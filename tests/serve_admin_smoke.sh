@@ -2,7 +2,8 @@
 # Live-admin smoke test (wired as the `serve_admin_smoke` ctest):
 #   1. train a tiny snapshot,
 #   2. serve a replay with --admin_port=0 and probe every admin endpoint
-#      over a real socket while the process is alive,
+#      over a real socket while the process is alive — including POST
+#      /reloadz, which hot-swaps the replay's snapshot to version 2,
 #   3. after exit, assert the latency histogram carries exemplar trace ids
 #      that resolve against the trace artifact (same data /tracez serves),
 #   4. rerun with an injected engine fault + --flight_dir and verify the
@@ -46,9 +47,10 @@ import json, sys, urllib.request, urllib.error
 port = int(sys.argv[1])
 base = "http://127.0.0.1:%d" % port
 
-def get(path, expect=200):
+def get(path, method="GET"):
+    request = urllib.request.Request(base + path, method=method)
     try:
-        with urllib.request.urlopen(base + path, timeout=10) as r:
+        with urllib.request.urlopen(request, timeout=10) as r:
             return r.status, r.read().decode()
     except urllib.error.HTTPError as e:
         return e.code, e.read().decode()
@@ -78,6 +80,15 @@ assert "traceEvents" in json.loads(body), body[:200]
 status, body = get("/tracez?limit=4")
 assert status == 200, (status, body)
 assert body.count('"ph"') <= 4, body.count('"ph"')
+
+# Replay mode serves through a SnapshotManager as well, so POST /reloadz
+# swaps in a freshly validated copy of the artifact as version 2.
+status, body = get("/reloadz", method="POST")
+assert status == 200, (status, body)
+assert json.loads(body)["active_version"] == 2, body
+status, body = get("/varz")
+assert status == 200, (status, body)
+assert json.loads(body)["vars"]["snapshot_version"] == "2", body
 
 status, body = get("/nonesuch")
 assert status == 404, (status, body)
