@@ -109,27 +109,36 @@ void BM_GemmEmbeddingTransform(benchmark::State& state) {
 BENCHMARK(BM_GemmEmbeddingTransform)->Arg(5)->Arg(10)->Arg(20)
     ->UseRealTime();
 
+// --- Training steps ------------------------------------------------------------
+
+// One training step: the model's loss on a fresh 512-triple batch and its
+// backward pass (no optimizer step).
+void TrainStep(models::RankingModel* model, data::BprSampler* sampler,
+               util::Rng* rng) {
+  const data::BprBatch batch = sampler->SampleBatch(512);
+  autograd::Tape tape;
+  autograd::Value loss = model->BuildLoss(&tape, batch, rng);
+  model->params()->ZeroGrad();
+  tape.Backward(loss);
+  benchmark::DoNotOptimize(model->params()->at(0)->grad.data());
+}
+
+void RunTrainSteps(benchmark::State& state, models::RankingModel* model) {
+  data::BprSampler sampler(&BenchDataset().interactions, 5);
+  util::Rng rng(6);
+  for (auto _ : state) TrainStep(model, &sampler, &rng);
+}
+
 // --- One HOSR training step vs layer count ------------------------------------
 
 void BM_HosrStepVsLayers(benchmark::State& state) {
-  const auto layers = static_cast<uint32_t>(state.range(0));
-  const data::Dataset& dataset = BenchDataset();
   core::Hosr::Config config;
   config.embedding_dim = 10;
-  config.num_layers = layers;
+  config.num_layers = static_cast<uint32_t>(state.range(0));
   config.graph_dropout = 0.0f;
   config.seed = 4;
-  core::Hosr model(dataset, config);
-  data::BprSampler sampler(&dataset.interactions, 5);
-  util::Rng rng(6);
-  for (auto _ : state) {
-    const data::BprBatch batch = sampler.SampleBatch(512);
-    autograd::Tape tape;
-    autograd::Value loss = model.BuildLoss(&tape, batch, &rng);
-    model.params()->ZeroGrad();
-    tape.Backward(loss);
-    benchmark::DoNotOptimize(model.params()->at(0)->grad.data());
-  }
+  core::Hosr model(BenchDataset(), config);
+  RunTrainSteps(state, &model);
 }
 BENCHMARK(BM_HosrStepVsLayers)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->UseRealTime();
@@ -137,42 +146,22 @@ BENCHMARK(BM_HosrStepVsLayers)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
 // --- HOSR vs TrustSVD epoch cost (Sec. 2.5 comparability claim) -----------------
 
 void BM_TrainStepTrustSvd(benchmark::State& state) {
-  const data::Dataset& dataset = BenchDataset();
   models::TrustSvd::Config config;
   config.embedding_dim = 10;
   config.seed = 4;
-  models::TrustSvd model(dataset, config);
-  data::BprSampler sampler(&dataset.interactions, 5);
-  util::Rng rng(6);
-  for (auto _ : state) {
-    const data::BprBatch batch = sampler.SampleBatch(512);
-    autograd::Tape tape;
-    autograd::Value loss = model.BuildLoss(&tape, batch, &rng);
-    model.params()->ZeroGrad();
-    tape.Backward(loss);
-    benchmark::DoNotOptimize(model.params()->at(0)->grad.data());
-  }
+  models::TrustSvd model(BenchDataset(), config);
+  RunTrainSteps(state, &model);
 }
 BENCHMARK(BM_TrainStepTrustSvd)->UseRealTime();
 
 void BM_TrainStepHosr3(benchmark::State& state) {
-  const data::Dataset& dataset = BenchDataset();
   core::Hosr::Config config;
   config.embedding_dim = 10;
   config.num_layers = 3;
   config.graph_dropout = 0.0f;
   config.seed = 4;
-  core::Hosr model(dataset, config);
-  data::BprSampler sampler(&dataset.interactions, 5);
-  util::Rng rng(6);
-  for (auto _ : state) {
-    const data::BprBatch batch = sampler.SampleBatch(512);
-    autograd::Tape tape;
-    autograd::Value loss = model.BuildLoss(&tape, batch, &rng);
-    model.params()->ZeroGrad();
-    tape.Backward(loss);
-    benchmark::DoNotOptimize(model.params()->at(0)->grad.data());
-  }
+  core::Hosr model(BenchDataset(), config);
+  RunTrainSteps(state, &model);
 }
 BENCHMARK(BM_TrainStepHosr3)->UseRealTime();
 
@@ -200,18 +189,10 @@ BENCHMARK(BM_HosrScoreAllItems)->UseRealTime();
 // Times `steps` training steps of `model` directly (outside the benchmark
 // harness) and returns the average microseconds per step.
 double MeasureStepMicros(models::RankingModel* model, int steps) {
-  const data::Dataset& dataset = BenchDataset();
-  data::BprSampler sampler(&dataset.interactions, 5);
+  data::BprSampler sampler(&BenchDataset().interactions, 5);
   util::Rng rng(6);
   const int64_t begin_ns = obs::NowNanos();
-  for (int i = 0; i < steps; ++i) {
-    const data::BprBatch batch = sampler.SampleBatch(512);
-    autograd::Tape tape;
-    autograd::Value loss = model->BuildLoss(&tape, batch, &rng);
-    model->params()->ZeroGrad();
-    tape.Backward(loss);
-    benchmark::DoNotOptimize(model->params()->at(0)->grad.data());
-  }
+  for (int i = 0; i < steps; ++i) TrainStep(model, &sampler, &rng);
   return static_cast<double>(obs::NowNanos() - begin_ns) / 1e3 / steps;
 }
 

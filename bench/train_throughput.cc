@@ -1,16 +1,16 @@
-// Training throughput of the deterministic parallel engine
+// Training throughput of the deterministic training engine
 // (docs/PERFORMANCE.md "Parallel training"): trains BPR-MF on a YelpLike
 // synthetic dataset under four trainer configurations —
 //
-//   seq        1 thread, dense optimizer steps (the classic trainer)
+//   seq        1 worker, dense optimizer steps
 //   par2/par   2/4 workers, sparse optimizer steps (the shipped fast path)
 //   par_dense  4 workers, dense optimizer steps (isolates the step change)
 //
 // — and publishes samples/sec per configuration plus two ratios:
 // `speedup` (par vs seq, the headline >=2x acceptance gate) and
 // `sparse_step_speedup` (sparse vs dense steps at the same worker count).
-// Before measuring, it byte-compares the training state of a short seq run
-// against a 4-worker run, so the throughput numbers are only ever reported
+// Before measuring, it byte-compares the training state of a short 1-worker
+// run against a 4-worker run, so the throughput numbers are only ever reported
 // for configurations proven to produce bit-identical trajectories.
 //
 // Run via run_benches.sh (picked up like every bench) or directly:
@@ -79,9 +79,9 @@ std::string ReadRaw(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-// Byte-compares training states of a short sequential run vs a 4-worker
-// run; aborts the bench if they diverge (the perf numbers would then be
-// comparing different algorithms, not different engines).
+// Byte-compares training states of a short 1-worker run vs a 4-worker run;
+// aborts the bench if they diverge (the perf numbers would then be
+// comparing different algorithms, not different worker counts).
 void CheckBitIdentity(const data::Dataset& dataset, uint32_t dim) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "hosr_train_bench").string();
@@ -99,8 +99,8 @@ void CheckBitIdentity(const data::Dataset& dataset, uint32_t dim) {
     std::remove(path.c_str());
   }
   HOSR_CHECK(!bytes[0].empty() && bytes[0] == bytes[1])
-      << "parallel trainer diverged from sequential; refusing to bench";
-  std::printf("bit-identity check: seq == 4-worker training state (%zu "
+      << "4-worker training diverged from 1 worker; refusing to bench";
+  std::printf("bit-identity check: 1-worker == 4-worker training state (%zu "
               "bytes)\n", bytes[0].size());
 }
 

@@ -202,48 +202,20 @@ Value Hosr::ScorePairs(autograd::Tape* tape,
   return tape->RowDot(u, v);
 }
 
-Value Hosr::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                      util::Rng* rng) {
-  (void)rng;
-  Value rep = UserRepresentation(tape, /*training=*/true);
-  Value u = tape->GatherRows(rep, batch.users);
-  Value item_param = tape->Param(item_emb_);
-  Value pos = tape->RowDot(u, tape->GatherRows(item_param, batch.pos_items));
-  Value neg = tape->RowDot(u, tape->GatherRows(item_param, batch.neg_items));
-  Value margin = tape->Sub(pos, neg);
-  // Eq. 12 without the L2 term (decoupled weight decay in the optimizer).
-  return tape->Scale(tape->Mean(tape->LogSigmoid(margin)), -1.0f);
-}
-
 void Hosr::BuildSharedForward(models::SharedForward* shared,
                               const data::BprBatch& batch, util::Rng* rng) {
   (void)batch;
   (void)rng;
   shared->outputs.push_back(
-      UserRepresentation(&shared->tape, /*training=*/true));
+      UserRepresentation(shared->tape, /*training=*/true));
 }
 
 Value Hosr::BuildLossSlice(autograd::Tape* tape,
                            const models::SharedForward& shared,
                            const data::BprBatch& batch, size_t begin,
-                           size_t end, util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss's tail over this slice's rows: the user gather reads
-  // the shared representation (key 0), the item leaf carries both item
-  // gathers — so the trainer's reduction replays the monolithic fold
-  // bit-identically.
-  Value rep = tape->SparseShared(0, &shared.outputs[0].value());
-  Value u = tape->GatherRows(rep, models::SliceOf(batch.users, begin, end));
-  Value item_param = tape->SparseParam(item_emb_);
-  Value pos = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.pos_items, begin, end)));
-  Value neg = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.neg_items, begin, end)));
-  Value margin = tape->Sub(pos, neg);
-  const float scale = -1.0f / static_cast<float>(batch.size());
-  return tape->Scale(tape->Sum(tape->LogSigmoid(margin)), scale);
+                           size_t end) {
+  return models::SharedUserBprSlice(tape, shared, item_emb_, batch, begin,
+                                    end);
 }
 
 std::vector<Matrix> Hosr::PropagateLayersInference() const {

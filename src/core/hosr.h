@@ -79,22 +79,17 @@ class Hosr : public models::RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  // Shares one propagation across the positive and negative BPR branches.
-  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                            util::Rng* rng) override;
-
-  // Sliced loss: the propagation/aggregation prefix is the shared forward
-  // (built once per batch, consuming dropout noise exactly as BuildLoss
-  // would); slices gather users from the shared representation and items
-  // from a sparse item leaf.
-  bool SupportsSlicedLoss() const override { return true; }
+  // BPR loss (Eq. 12): the propagation/aggregation prefix is the shared
+  // forward, built once per batch and shared by the positive and negative
+  // branches; slices gather users from the shared representation and
+  // items from the item leaf.
   void BuildSharedForward(models::SharedForward* shared,
                           const data::BprBatch& batch,
                           util::Rng* rng) override;
   autograd::Value BuildLossSlice(autograd::Tape* tape,
                                  const models::SharedForward& shared,
                                  const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
+                                 size_t end) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

@@ -212,44 +212,21 @@ Value HosrGat::ScorePairs(autograd::Tape* tape,
   return tape->RowDot(u, v);
 }
 
-Value HosrGat::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                         util::Rng* rng) {
-  (void)rng;
-  Value rep = UserRepresentation(tape, /*training=*/true);
-  Value u = tape->GatherRows(rep, batch.users);
-  Value item_param = tape->Param(item_emb_);
-  Value pos = tape->RowDot(u, tape->GatherRows(item_param, batch.pos_items));
-  Value neg = tape->RowDot(u, tape->GatherRows(item_param, batch.neg_items));
-  return tape->Scale(tape->Mean(tape->LogSigmoid(tape->Sub(pos, neg))),
-                     -1.0f);
-}
-
 void HosrGat::BuildSharedForward(models::SharedForward* shared,
                                  const data::BprBatch& batch,
                                  util::Rng* rng) {
   (void)batch;
   (void)rng;
   shared->outputs.push_back(
-      UserRepresentation(&shared->tape, /*training=*/true));
+      UserRepresentation(shared->tape, /*training=*/true));
 }
 
 Value HosrGat::BuildLossSlice(autograd::Tape* tape,
                               const models::SharedForward& shared,
                               const data::BprBatch& batch, size_t begin,
-                              size_t end, util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss's tail (see Hosr::BuildLossSlice for the contract).
-  Value rep = tape->SparseShared(0, &shared.outputs[0].value());
-  Value u = tape->GatherRows(rep, models::SliceOf(batch.users, begin, end));
-  Value item_param = tape->SparseParam(item_emb_);
-  Value pos = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.pos_items, begin, end)));
-  Value neg = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.neg_items, begin, end)));
-  const float scale = -1.0f / static_cast<float>(batch.size());
-  return tape->Scale(tape->Sum(tape->LogSigmoid(tape->Sub(pos, neg))), scale);
+                              size_t end) {
+  return models::SharedUserBprSlice(tape, shared, item_emb_, batch, begin,
+                                    end);
 }
 
 Matrix HosrGat::ScoreAllItems(const std::vector<uint32_t>& users) {

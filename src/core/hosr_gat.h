@@ -51,19 +51,15 @@ class HosrGat : public models::RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                            util::Rng* rng) override;
-
-  // Sliced loss: same split as Hosr — GAT propagation is the shared
-  // forward, the tail gathers are sliced.
-  bool SupportsSlicedLoss() const override { return true; }
+  // BPR loss, split as in Hosr: GAT propagation is the shared forward,
+  // the tail gathers are sliced.
   void BuildSharedForward(models::SharedForward* shared,
                           const data::BprBatch& batch,
                           util::Rng* rng) override;
   autograd::Value BuildLossSlice(autograd::Tape* tape,
                                  const models::SharedForward& shared,
                                  const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
+                                 size_t end) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

@@ -157,47 +157,28 @@ Value HosrJoint::ScorePairs(autograd::Tape* tape,
   return tape->RowDot(u, v);
 }
 
-Value HosrJoint::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                           util::Rng* rng) {
-  (void)rng;
-  Value nodes = PropagateAndAggregate(tape, /*training=*/true);
-  std::vector<uint32_t> pos_nodes(batch.pos_items.size());
-  std::vector<uint32_t> neg_nodes(batch.neg_items.size());
-  for (size_t i = 0; i < batch.pos_items.size(); ++i) {
-    pos_nodes[i] = num_users_ + batch.pos_items[i];
-    neg_nodes[i] = num_users_ + batch.neg_items[i];
-  }
-  Value u = tape->GatherRows(nodes, batch.users);
-  Value pos = tape->RowDot(u, tape->GatherRows(nodes, pos_nodes));
-  Value neg = tape->RowDot(u, tape->GatherRows(nodes, neg_nodes));
-  return tape->Scale(tape->Mean(tape->LogSigmoid(tape->Sub(pos, neg))),
-                     -1.0f);
-}
-
 void HosrJoint::BuildSharedForward(models::SharedForward* shared,
                                    const data::BprBatch& batch,
                                    util::Rng* rng) {
   (void)batch;
   (void)rng;
   shared->outputs.push_back(
-      PropagateAndAggregate(&shared->tape, /*training=*/true));
+      PropagateAndAggregate(shared->tape, /*training=*/true));
 }
 
 Value HosrJoint::BuildLossSlice(autograd::Tape* tape,
                                 const models::SharedForward& shared,
                                 const data::BprBatch& batch, size_t begin,
-                                size_t end, util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss's tail: one shared node-representation leaf carries
-  // the user, positive-item, and negative-item gathers (three op segments
-  // on one sink), so the reduction replays the monolithic scatter order.
+                                size_t end) {
+  // One shared node-representation leaf carries the user, positive-item,
+  // and negative-item gathers (three op segments on one sink).
   std::vector<uint32_t> pos_nodes(end - begin);
   std::vector<uint32_t> neg_nodes(end - begin);
   for (size_t i = begin; i < end; ++i) {
     pos_nodes[i - begin] = num_users_ + batch.pos_items[i];
     neg_nodes[i - begin] = num_users_ + batch.neg_items[i];
   }
-  Value nodes = tape->SparseShared(0, &shared.outputs[0].value());
+  Value nodes = shared.Output(tape, 0);
   Value u = tape->GatherRows(nodes, models::SliceOf(batch.users, begin, end));
   Value pos = tape->RowDot(u, tape->GatherRows(nodes, std::move(pos_nodes)));
   Value neg = tape->RowDot(u, tape->GatherRows(nodes, std::move(neg_nodes)));

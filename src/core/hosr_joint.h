@@ -53,19 +53,15 @@ class HosrJoint : public models::RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                            util::Rng* rng) override;
-
-  // Sliced loss: the joint propagation is the shared forward; all three
-  // tail gathers read the shared node representation.
-  bool SupportsSlicedLoss() const override { return true; }
+  // BPR loss: the joint propagation is the shared forward; all three tail
+  // gathers read the shared node representation.
   void BuildSharedForward(models::SharedForward* shared,
                           const data::BprBatch& batch,
                           util::Rng* rng) override;
   autograd::Value BuildLossSlice(autograd::Tape* tape,
                                  const models::SharedForward& shared,
                                  const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
+                                 size_t end) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

@@ -75,15 +75,10 @@ BprBatch BprSampler::SampleBatch(size_t batch_size) {
 }
 
 BatchPrefetcher::BatchPrefetcher(BprSampler* sampler, size_t batch_size,
-                                 size_t num_batches, bool enabled,
-                                 size_t depth)
-    : sampler_(sampler),
-      batch_size_(batch_size),
-      num_batches_(num_batches),
-      enabled_(enabled && num_batches > 0),
-      depth_(depth > 0 ? depth : 1) {
+                                 size_t num_batches)
+    : sampler_(sampler), batch_size_(batch_size), num_batches_(num_batches) {
   HOSR_CHECK(sampler_ != nullptr);
-  if (enabled_) {
+  if (num_batches_ > 0) {
     producer_ = std::thread([this] { ProducerLoop(); });
   }
 }
@@ -104,7 +99,7 @@ void BatchPrefetcher::ProducerLoop() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       space_ready_.wait(lock,
-                        [this] { return stop_ || queue_.size() < depth_; });
+                        [this] { return stop_ || queue_.size() < kDepth; });
       if (stop_) return;
     }
     // Sample outside the lock: the whole point is overlapping this work
@@ -125,7 +120,6 @@ BprBatch BatchPrefetcher::Next() {
   HOSR_CHECK(consumed_ < num_batches_)
       << "epoch exhausted after " << num_batches_ << " batches";
   ++consumed_;
-  if (!enabled_) return sampler_->SampleBatch(batch_size_);
   std::unique_lock<std::mutex> lock(mutex_);
   if (queue_.empty()) {
     // Stall: the consumer outran the producer. Record the time blocked, not

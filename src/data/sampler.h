@@ -78,13 +78,10 @@ class BprSampler {
 //
 // `sampler` must outlive the prefetcher and must not be used elsewhere
 // while one is alive (the producer thread owns it). The destructor stops
-// the producer and joins even if not all batches were consumed. With
-// `enabled` false no thread is started and Next() samples synchronously —
-// same sequence, zero overhead — so call sites can flag-toggle freely.
+// the producer and joins even if not all batches were consumed.
 class BatchPrefetcher {
  public:
-  BatchPrefetcher(BprSampler* sampler, size_t batch_size, size_t num_batches,
-                  bool enabled, size_t depth = 2);
+  BatchPrefetcher(BprSampler* sampler, size_t batch_size, size_t num_batches);
   ~BatchPrefetcher();
 
   BatchPrefetcher(const BatchPrefetcher&) = delete;
@@ -100,8 +97,7 @@ class BatchPrefetcher {
   BprSampler* sampler_;
   const size_t batch_size_;
   const size_t num_batches_;
-  const bool enabled_;
-  const size_t depth_;
+  static constexpr size_t kDepth = 2;  // batches buffered ahead
   size_t consumed_ = 0;
 
   std::mutex mutex_;

@@ -29,11 +29,11 @@ class BprMf : public RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  bool SupportsSlicedLoss() const override { return true; }
+  // The BPR loss of Eq. 12; nothing is shared across slices.
   autograd::Value BuildLossSlice(autograd::Tape* tape,
                                  const SharedForward& shared,
                                  const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
+                                 size_t end) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

@@ -85,19 +85,19 @@ autograd::Value DeepInf::ScorePairs(autograd::Tape* tape,
   return tape->RowDot(u, v);
 }
 
-autograd::Value DeepInf::BuildLoss(autograd::Tape* tape,
-                                   const data::BprBatch& batch,
-                                   util::Rng* rng) {
+void DeepInf::BuildSharedForward(SharedForward* shared,
+                                 const data::BprBatch& batch,
+                                 util::Rng* rng) {
+  (void)batch;
   (void)rng;
-  autograd::Value h = PropagateUsers(tape, /*training=*/true);
-  autograd::Value u = tape->GatherRows(h, batch.users);
-  autograd::Value item_param = tape->Param(item_emb_);
-  autograd::Value pos =
-      tape->RowDot(u, tape->GatherRows(item_param, batch.pos_items));
-  autograd::Value neg =
-      tape->RowDot(u, tape->GatherRows(item_param, batch.neg_items));
-  autograd::Value margin = tape->Sub(pos, neg);
-  return tape->Scale(tape->Mean(tape->LogSigmoid(margin)), -1.0f);
+  shared->outputs.push_back(PropagateUsers(shared->tape, /*training=*/true));
+}
+
+autograd::Value DeepInf::BuildLossSlice(autograd::Tape* tape,
+                                        const SharedForward& shared,
+                                        const data::BprBatch& batch,
+                                        size_t begin, size_t end) {
+  return SharedUserBprSlice(tape, shared, item_emb_, batch, begin, end);
 }
 
 tensor::Matrix DeepInf::ScoreAllItems(const std::vector<uint32_t>& users) {

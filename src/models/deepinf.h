@@ -39,9 +39,14 @@ class DeepInf : public RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  // Shares one GCN propagation across positive and negative branches.
-  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                            util::Rng* rng) override;
+  // BPR loss: the GCN propagation is the shared forward, propagated once
+  // for the positive and negative branches; the tail gathers are sliced.
+  void BuildSharedForward(SharedForward* shared, const data::BprBatch& batch,
+                          util::Rng* rng) override;
+  autograd::Value BuildLossSlice(autograd::Tape* tape,
+                                 const SharedForward& shared,
+                                 const data::BprBatch& batch, size_t begin,
+                                 size_t end) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

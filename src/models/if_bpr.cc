@@ -131,47 +131,12 @@ autograd::Value IfBpr::ScorePairs(autograd::Tape* tape,
   return tape->RowDot(u, v);
 }
 
-autograd::Value IfBpr::BuildLoss(autograd::Tape* tape,
-                                 const data::BprBatch& batch,
-                                 util::Rng* rng) {
-  // Sample one social item per triple; users without social items reuse
-  // the positive item so the pos>social term vanishes (log sigma(0) const)
-  // and the social>neg term degrades to plain BPR.
-  std::vector<uint32_t> social_items;
-  social_items.reserve(batch.users.size());
-  for (size_t b = 0; b < batch.users.size(); ++b) {
-    const auto& pool = social_items_[batch.users[b]];
-    if (pool.empty()) {
-      social_items.push_back(batch.pos_items[b]);
-    } else {
-      social_items.push_back(pool[rng->UniformInt(pool.size())]);
-    }
-  }
-
-  autograd::Value user_param = tape->Param(user_emb_);
-  autograd::Value item_param = tape->Param(item_emb_);
-  autograd::Value u = tape->GatherRows(user_param, batch.users);
-  autograd::Value pos =
-      tape->RowDot(u, tape->GatherRows(item_param, batch.pos_items));
-  autograd::Value soc =
-      tape->RowDot(u, tape->GatherRows(item_param, social_items));
-  autograd::Value neg =
-      tape->RowDot(u, tape->GatherRows(item_param, batch.neg_items));
-
-  autograd::Value pos_over_soc =
-      tape->Mean(tape->LogSigmoid(tape->Sub(pos, soc)));
-  autograd::Value soc_over_neg =
-      tape->Mean(tape->LogSigmoid(tape->Sub(soc, neg)));
-  autograd::Value loss = tape->Scale(pos_over_soc, -1.0f);
-  return tape->Add(
-      loss, tape->Scale(soc_over_neg, -config_.social_term_weight));
-}
-
 void IfBpr::BuildSharedForward(SharedForward* shared,
                                const data::BprBatch& batch, util::Rng* rng) {
-  // The same social-item draw sequence as BuildLoss, once per batch with
-  // the trainer RNG, so sliced and monolithic training see identical
-  // samples (empty pools draw nothing, exactly as BuildLoss).
+  // One social item per triple, drawn once per batch with the trainer RNG.
+  // Users without social items reuse the positive item (drawing nothing),
+  // so the pos>social term vanishes (log sigma(0) is constant) and the
+  // social>neg term degrades to plain BPR.
   shared->scratch_indices.reserve(batch.users.size());
   for (size_t b = 0; b < batch.users.size(); ++b) {
     const auto& pool = social_items_[batch.users[b]];
@@ -186,14 +151,11 @@ void IfBpr::BuildSharedForward(SharedForward* shared,
 autograd::Value IfBpr::BuildLossSlice(autograd::Tape* tape,
                                       const SharedForward& shared,
                                       const data::BprBatch& batch,
-                                      size_t begin, size_t end,
-                                      util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss node-for-node over this slice's rows; both Mean
-  // terms become Sums scaled by their coefficient over the FULL batch
-  // size (same float division as Mean's backward).
-  autograd::Value user_param = tape->SparseParam(user_emb_);
-  autograd::Value item_param = tape->SparseParam(item_emb_);
+                                      size_t begin, size_t end) {
+  // Both ranking terms are Sums scaled by their coefficient over the FULL
+  // batch size (the same float division as Mean's backward).
+  autograd::Value user_param = shared.ParamLeaf(tape, user_emb_);
+  autograd::Value item_param = shared.ParamLeaf(tape, item_emb_);
   autograd::Value u =
       tape->GatherRows(user_param, SliceOf(batch.users, begin, end));
   autograd::Value pos = tape->RowDot(

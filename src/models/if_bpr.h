@@ -44,19 +44,14 @@ class IfBpr : public RankingModel {
                              bool training) override;
 
   // Ordered ranking loss over (positive, social, negative) item triples.
-  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                            util::Rng* rng) override;
-
-  // Sliced loss: no shared tensors, but the per-batch social-item sampling
-  // moves into the shared forward so it consumes the trainer RNG exactly
-  // as the monolithic BuildLoss would regardless of slicing.
-  bool SupportsSlicedLoss() const override { return true; }
+  // No shared tensors: the shared forward draws the batch's social items
+  // with the trainer RNG, once per batch whatever the slicing.
   void BuildSharedForward(SharedForward* shared, const data::BprBatch& batch,
                           util::Rng* rng) override;
   autograd::Value BuildLossSlice(autograd::Tape* tape,
                                  const SharedForward& shared,
                                  const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
+                                 size_t end) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

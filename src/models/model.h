@@ -2,6 +2,7 @@
 #define HOSR_MODELS_MODEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,21 +30,39 @@ struct FrozenFactors {
   float global_bias = 0.0f;
 };
 
-// Batch-shared forward state for the parallel trainer's sliced loss path
-// (docs/PERFORMANCE.md "Parallel training"). A model that supports slicing
-// builds its batch-independent prefix — e.g. HOSR's propagated user
-// representations — ONCE per batch on `tape`, exposing the tensors slices
-// gather from as `outputs`; slice tapes reference those matrices via
-// Tape::SparseShared(key, ...) where `key` is the output's index here. The
-// trainer finishes the prefix by seeding `tape` with the reduced gathered
-// gradients (Tape::BackwardSeeded).
+// Batch-shared forward state of a model's loss (docs/PERFORMANCE.md
+// "Parallel training"). BuildSharedForward builds the batch-independent
+// prefix — e.g. HOSR's propagated user representations — ONCE per batch on
+// the borrowed `tape`, exposing the tensors slices gather from as
+// `outputs`. Models whose dense weights have no row-sliceable gradient
+// (NCF, NSCR) instead build their whole batch loss there and set `loss`;
+// the trainer then backpropagates the shared tape and builds no slices.
 struct SharedForward {
-  autograd::Tape tape;
+  explicit SharedForward(autograd::Tape* tape) : tape(tape) {}
+
+  autograd::Tape* tape;
   std::vector<autograd::Value> outputs;
-  // Model-specific per-batch precomputation that must consume the trainer
-  // RNG exactly as the monolithic BuildLoss would (e.g. IF-BPR's sampled
-  // social items), so sliced and sequential training see identical draws.
+  // Model-specific per-batch precomputation that consumes the trainer RNG
+  // (e.g. IF-BPR's sampled social items), drawn once per batch whatever
+  // the slicing.
   std::vector<uint32_t> scratch_indices;
+  std::optional<autograd::Value> loss;
+
+  // Leaves for BuildLossSlice. A slice built on the shared tape itself
+  // (BuildLoss's single slice) gets the dense Param leaf and the shared
+  // Value; a slice on a worker's tape gets the sparse leaves the trainer's
+  // ordered reduction folds.
+  autograd::Value ParamLeaf(autograd::Tape* slice_tape,
+                            autograd::Param* param) const {
+    return slice_tape == tape ? slice_tape->Param(param)
+                              : slice_tape->SparseParam(param);
+  }
+  autograd::Value Output(autograd::Tape* slice_tape, size_t key) const {
+    return slice_tape == tape
+               ? outputs[key]
+               : slice_tape->SparseShared(static_cast<int>(key),
+                                          &outputs[key].value());
+  }
 };
 
 // Contiguous [begin, end) sub-range of a batch index column.
@@ -52,6 +71,15 @@ inline std::vector<uint32_t> SliceOf(const std::vector<uint32_t>& v,
   return std::vector<uint32_t>(v.begin() + static_cast<ptrdiff_t>(begin),
                                v.begin() + static_cast<ptrdiff_t>(end));
 }
+
+// The BPR loss slice (Eq. 12) of a dot-product model whose user
+// representation is shared output 0 and whose item factors are `item_emb`:
+// -1/B * sum ln sigmoid(u.v+ - u.v-), B the FULL batch size.
+autograd::Value SharedUserBprSlice(autograd::Tape* tape,
+                                   const SharedForward& shared,
+                                   autograd::Param* item_emb,
+                                   const data::BprBatch& batch, size_t begin,
+                                   size_t end);
 
 // Interface shared by HOSR and every baseline: a model that ranks items for
 // users, trains on BPR triples via the autograd tape, and supports fast
@@ -65,28 +93,14 @@ class RankingModel {
   virtual uint32_t num_items() const = 0;
 
   // Builds the training loss for one mini-batch of triples on `tape` and
-  // returns the scalar (1x1) loss Value. The default implementation is the
-  // BPR loss of Eq. 12 (without the L2 term, which the optimizer applies as
-  // decoupled weight decay): mean over triples of -ln sigmoid(y+ - y-).
-  // Models with extra loss terms (NSCR) or a different ranking objective
-  // (IF-BPR) override this.
-  virtual autograd::Value BuildLoss(autograd::Tape* tape,
-                                    const data::BprBatch& batch,
-                                    util::Rng* rng);
+  // returns the scalar (1x1) loss Value: BuildSharedForward on `tape`, then
+  // either the model's whole-batch shared loss or one BuildLossSlice over
+  // every row. This is the one loss definition the trainer slices; the L2
+  // term of Eq. 12 is the optimizer's decoupled weight decay.
+  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
+                            util::Rng* rng);
 
-  // --- Sliced loss (parallel trainer) ---------------------------------
-  //
-  // A model that returns true here guarantees: BuildSharedForward followed
-  // by BuildLossSlice over any partition of [0, batch.size()) into
-  // contiguous slices produces — after the trainer's ordered sink
-  // reduction — gradients bit-identical to one monolithic BuildLoss, for
-  // any slice size and worker count. Each BuildLossSlice call must mirror
-  // the monolithic graph's node-creation order over its rows and scale sum
-  // reductions by the same per-row constant Mean's backward would use
-  // (coefficient divided by the FULL batch size, as a float division).
-  virtual bool SupportsSlicedLoss() const { return false; }
-
-  // Builds the batch-independent forward prefix on shared->tape and any
+  // Builds the batch-independent forward prefix on shared->tape plus any
   // per-batch scratch that consumes `rng`. Default: nothing shared.
   virtual void BuildSharedForward(SharedForward* shared,
                                   const data::BprBatch& batch,
@@ -96,15 +110,17 @@ class RankingModel {
     (void)rng;
   }
 
-  // Builds the loss for batch rows [begin, end) on a worker-local tape.
-  // `slice_rng` is the slice's deterministic RNG stream (a pure function
-  // of seed/epoch/batch/slice); models without per-row slice noise ignore
-  // it. Only valid when SupportsSlicedLoss() is true.
+  // Builds the loss for batch rows [begin, end), taking its leaves from
+  // shared.ParamLeaf / shared.Output. Over any partition of the batch into
+  // contiguous slices, the trainer's ordered sink reduction must yield
+  // gradients bit-identical to the single slice BuildLoss builds, for any
+  // slice size and worker count: sum reductions are scaled by their
+  // coefficient over the FULL batch size, as a float division, exactly as
+  // Mean's backward would. Not called when the shared forward set `loss`.
   virtual autograd::Value BuildLossSlice(autograd::Tape* tape,
                                          const SharedForward& shared,
                                          const data::BprBatch& batch,
-                                         size_t begin, size_t end,
-                                         util::Rng* slice_rng);
+                                         size_t begin, size_t end);
 
   // Differentiable scores for (user, item) pairs: returns a (B x 1) Value.
   // `training` enables dropout.
@@ -133,6 +149,12 @@ class RankingModel {
   }
 
   virtual autograd::ParamStore* params() = 0;
+
+ protected:
+  // The BPR loss of Eq. 12 over ScorePairs: mean over triples of
+  // -ln sigmoid(y+ - y-), on one tape (the NCF-family shared loss).
+  autograd::Value ScorePairsBprLoss(autograd::Tape* tape,
+                                    const data::BprBatch& batch);
 };
 
 }  // namespace hosr::models

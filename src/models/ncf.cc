@@ -59,6 +59,12 @@ autograd::Value Ncf::ScorePairs(autograd::Tape* tape,
   return tape->Add(gmf_score, mlp_score);
 }
 
+void Ncf::BuildSharedForward(SharedForward* shared,
+                             const data::BprBatch& batch, util::Rng* rng) {
+  (void)rng;
+  shared->loss = ScorePairsBprLoss(shared->tape, batch);
+}
+
 tensor::Matrix Ncf::ScoreAllItems(const std::vector<uint32_t>& users) {
   using tensor::Matrix;
   const uint32_t d = config_.embedding_dim;

@@ -33,6 +33,11 @@ class Ncf : public RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
+  // BPR loss over ScorePairs, built whole on the shared tape: the MLP
+  // weights' gradient has no row-sliceable fold.
+  void BuildSharedForward(SharedForward* shared, const data::BprBatch& batch,
+                          util::Rng* rng) override;
+
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
   autograd::ParamStore* params() override { return &params_; }

@@ -70,15 +70,10 @@ autograd::Value Nscr::ScorePairs(autograd::Tape* tape,
   return tape->MatMul(h, tape->Param(out_weight_));
 }
 
-autograd::Value Nscr::BuildLoss(autograd::Tape* tape,
-                                const data::BprBatch& batch, util::Rng* rng) {
-  autograd::Value pos =
-      ScorePairs(tape, batch.users, batch.pos_items, /*training=*/true);
-  autograd::Value neg =
-      ScorePairs(tape, batch.users, batch.neg_items, /*training=*/true);
-  autograd::Value margin = tape->Sub(pos, neg);
-  autograd::Value loss =
-      tape->Scale(tape->Mean(tape->LogSigmoid(margin)), -1.0f);
+void Nscr::BuildSharedForward(SharedForward* shared,
+                              const data::BprBatch& batch, util::Rng* rng) {
+  autograd::Tape* tape = shared->tape;
+  autograd::Value loss = ScorePairsBprLoss(tape, batch);
 
   autograd::Value user_param = tape->Param(user_emb_);
   autograd::Value batch_u = tape->GatherRows(user_param, batch.users);
@@ -113,7 +108,7 @@ autograd::Value Nscr::BuildLoss(autograd::Tape* tape,
     autograd::Value penalty = tape->Mean(tape->RowDot(diff, diff));
     loss = tape->Add(loss, tape->Scale(penalty, config_.fitting_weight));
   }
-  return loss;
+  shared->loss = loss;
 }
 
 tensor::Matrix Nscr::ScoreAllItems(const std::vector<uint32_t>& users) {

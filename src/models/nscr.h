@@ -42,9 +42,11 @@ class Nscr : public RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  // BPR loss plus the two social constraint terms.
-  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                            util::Rng* rng) override;
+  // BPR loss plus the two social constraint terms, built whole on the
+  // shared tape (the MLP weights' gradient has no row-sliceable fold);
+  // the smoothness term's friend draws consume `rng` there.
+  void BuildSharedForward(SharedForward* shared, const data::BprBatch& batch,
+                          util::Rng* rng) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

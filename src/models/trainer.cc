@@ -57,12 +57,10 @@ class PhaseTimer {
   PhaseTimer HOSR_OBS_CONCAT_(hosr_phase_timer_at_line_,        \
                               __LINE__)(HOSR_COUNTER(name))
 
-// Every phase counter the per-epoch utilization gauges cover. Sequential
-// epochs move forward/backward/step; parallel epochs move the engine's five
-// phases; both move sample (prefetcher waits on the consumer side).
+// Every phase counter the per-epoch utilization gauges cover: sample
+// (prefetcher waits on the consumer side) plus the engine's five phases.
 constexpr const char* kPhaseCounterNames[] = {
-    "trainer/sample_us",         "trainer/forward_us",
-    "trainer/backward_us",       "trainer/shared_forward_us",
+    "trainer/sample_us",         "trainer/shared_forward_us",
     "trainer/slice_backward_us", "trainer/reduce_us",
     "trainer/seeded_backward_us", "trainer/step_us",
 };
@@ -131,7 +129,7 @@ util::StatusOr<util::RngState> ReadRngState(std::istream* in) {
 
 // The config fields a checkpoint bakes in: restoring under a different
 // config would silently train a different run, so they are written out and
-// compared verbatim on load. train_threads / slice_size / prefetch are
+// compared verbatim on load. train_threads / slice_size are
 // deliberately ABSENT: the engine's trajectory is bit-identical across all
 // of them (trainer_parallel_test), so checkpoints move freely between
 // thread counts. sparse_steps changes the trajectory (lazy weight decay)
@@ -219,10 +217,6 @@ class WorkerTeam {
   // the engine keys all work on the task index, never on schedule.
   void Run(size_t num_tasks, const std::function<void(size_t)>& body) {
     if (num_tasks == 0) return;
-    if (threads_.empty()) {
-      for (size_t i = 0; i < num_tasks; ++i) body(i);
-      return;
-    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       body_ = &body;
@@ -285,31 +279,15 @@ class WorkerTeam {
   std::vector<std::thread> threads_;
 };
 
-uint64_t MixSeed(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-// Deterministic per-slice RNG seed: a pure function of the run seed and the
-// (epoch, batch, slice) coordinates. Slice streams therefore never depend on
-// worker count or scheduling, and resume needs nothing new checkpointed.
-uint64_t SliceSeed(uint64_t seed, uint64_t epoch, uint64_t batch,
-                   uint64_t slice) {
-  uint64_t z = MixSeed(seed ^ 0x736c696365ULL);  // "slice"
-  z = MixSeed(z ^ epoch);
-  z = MixSeed(z ^ batch);
-  return MixSeed(z ^ slice);
-}
-
 // ---------------------------------------------------------------------------
-// The intra-batch parallel engine (docs/PERFORMANCE.md "Parallel training").
+// The training engine — the one training loop, for every model and worker
+// count (docs/PERFORMANCE.md "Parallel training").
 //
 // Per batch: the model builds its batch-shared forward prefix once, workers
 // build + backward one slice tape each (sparse leaves route gathered row
 // gradients into SparseSink segments instead of dense grads), and a sharded
-// reducer replays the monolithic tape's accumulation sequence:
+// reducer replays the accumulation sequence of the monolithic tape — the
+// single-slice loss RankingModel::BuildLoss builds on one tape:
 //
 //   * sinks reduce in REVERSE creation order — the order the monolithic
 //     reverse sweep reaches their leaves;
@@ -329,7 +307,8 @@ uint64_t SliceSeed(uint64_t seed, uint64_t epoch, uint64_t batch,
 // Every target row is folded and transferred entirely within one row-range
 // shard, so neither the shard count nor the worker count can affect a
 // single bit of the result. That is the whole determinism argument; the
-// rest is bookkeeping.
+// rest is bookkeeping. A model whose shared forward sets SharedForward::loss
+// (NCF, NSCR) has no slices: the engine backpropagates the shared tape.
 // ---------------------------------------------------------------------------
 class ParallelEngine {
  public:
@@ -350,19 +329,63 @@ class ParallelEngine {
   }
 
   // Trains one batch; returns the batch loss (slice losses summed in slice
-  // order — may differ from the monolithic Mean in the last ulp, which is
+  // order — may differ from a single-tape Mean in the last ulp, which is
   // why stats report it but checkpoints never contain it).
-  double TrainBatch(const data::BprBatch& batch, uint32_t epoch,
-                    size_t batch_index, util::Rng* rng) {
+  double TrainBatch(const data::BprBatch& batch, util::Rng* rng) {
     autograd::ParamStore* params = model_->params();
 
-    SharedForward shared;
+    autograd::Tape shared_tape;
+    SharedForward shared(&shared_tape);
     {
       HOSR_TRACE_SPAN("trainer/shared_forward");
       HOSR_PHASE_US("trainer/shared_forward_us");
       model_->BuildSharedForward(&shared, batch, rng);
     }
 
+    if (!sparse_mode_) params->ZeroGrad();
+    for (auto& per_param : shard_touched_) {
+      for (auto& rows : per_param) rows.clear();
+    }
+
+    double batch_loss = 0.0;
+    std::vector<std::pair<autograd::Value, tensor::Matrix>> seeds;
+    if (!shared.loss.has_value()) {
+      batch_loss = BackwardSlices(batch, shared, &seeds);
+    }
+    {
+      HOSR_TRACE_SPAN("trainer/seeded_backward");
+      HOSR_PHASE_US("trainer/seeded_backward_us");
+      if (shared.loss.has_value()) {
+        // The model's whole loss lives on the shared tape: no slices.
+        shared_tape.Backward(*shared.loss);
+        batch_loss = shared.loss->value()(0, 0);
+      } else if (!seeds.empty()) {
+        shared_tape.BackwardSeeded(std::move(seeds));
+      }
+    }
+
+    {
+      HOSR_TRACE_SPAN("trainer/step");
+      HOSR_PHASE_US("trainer/step_us");
+      if (sparse_mode_) {
+        const size_t plan_rows = BuildPlan(shared_tape);
+        HOSR_COUNTER("trainer/sparse_rows").Increment(plan_rows);
+        optimizer_->StepRows(params, plan_);
+        RezeroTouched(params);
+      } else {
+        optimizer_->Step(params);
+      }
+    }
+    return batch_loss;
+  }
+
+ private:
+  // Builds + backpropagates one slice tape per worker task and reduces
+  // their sinks into the parameter grads and `seed_pairs`, the gradients
+  // of the shared outputs. Returns the batch loss.
+  double BackwardSlices(
+      const data::BprBatch& batch, const SharedForward& shared,
+      std::vector<std::pair<autograd::Value, tensor::Matrix>>* seed_pairs) {
     const size_t slice_size = config_.slice_size;
     const size_t num_slices = (batch.size() + slice_size - 1) / slice_size;
     slice_tapes_.clear();
@@ -375,9 +398,8 @@ class ParallelEngine {
         const size_t begin = s * slice_size;
         const size_t end = std::min(batch.size(), begin + slice_size);
         auto tape = std::make_unique<autograd::Tape>();
-        util::Rng slice_rng(SliceSeed(config_.seed, epoch, batch_index, s));
-        autograd::Value loss = model_->BuildLossSlice(
-            tape.get(), shared, batch, begin, end, &slice_rng);
+        autograd::Value loss =
+            model_->BuildLossSlice(tape.get(), shared, batch, begin, end);
         // Slice contract: every parameter a slice reaches must go through
         // a sparse leaf — a dense Param leaf would race on param->grad
         // across workers and break the ordered reduction.
@@ -401,14 +423,9 @@ class ParallelEngine {
       }
     }
 
-    if (!sparse_mode_) params->ZeroGrad();
-
     {
       HOSR_TRACE_SPAN("trainer/reduce");
       HOSR_PHASE_US("trainer/reduce_us");
-      for (auto& per_param : shard_touched_) {
-        for (auto& rows : per_param) rows.clear();
-      }
       const uint32_t num_sinks = static_cast<uint32_t>(targets_.size());
       const uint32_t stamp_base = NextStampBlock(num_sinks + 1);
       const size_t num_shards = team_.workers();
@@ -417,38 +434,15 @@ class ParallelEngine {
       });
     }
 
-    {
-      HOSR_TRACE_SPAN("trainer/seeded_backward");
-      HOSR_PHASE_US("trainer/seeded_backward_us");
-      std::vector<std::pair<autograd::Value, tensor::Matrix>> seed_pairs;
-      for (size_t key = 0; key < seeds.size(); ++key) {
-        if (seeds[key].empty()) continue;
-        seed_pairs.emplace_back(shared.outputs[key], std::move(seeds[key]));
-      }
-      if (!seed_pairs.empty()) {
-        shared.tape.BackwardSeeded(std::move(seed_pairs));
-      }
+    for (size_t key = 0; key < seeds.size(); ++key) {
+      if (seeds[key].empty()) continue;
+      seed_pairs->emplace_back(shared.outputs[key], std::move(seeds[key]));
     }
-
-    {
-      HOSR_TRACE_SPAN("trainer/step");
-      HOSR_PHASE_US("trainer/step_us");
-      if (sparse_mode_) {
-        const size_t plan_rows = BuildPlan(shared);
-        HOSR_COUNTER("trainer/sparse_rows").Increment(plan_rows);
-        optimizer_->StepRows(params, plan_);
-        RezeroTouched(params);
-      } else {
-        optimizer_->Step(params);
-      }
-    }
-
     double batch_loss = 0.0;
     for (const float l : slice_losses_) batch_loss += l;
     return batch_loss;
   }
 
- private:
   // One reduction destination per sink (structure is stable across batches
   // for a given model; rebuilt if it ever changes).
   struct Target {
@@ -619,11 +613,11 @@ class ParallelEngine {
   // leaves (their grads are full matrices from BackwardSeeded), sorted
   // unique row lists for sink-touched embeddings, skip for the rest.
   // Returns the number of sparse rows planned.
-  size_t BuildPlan(const SharedForward& shared) {
+  size_t BuildPlan(const autograd::Tape& shared_tape) {
     autograd::ParamStore* params = model_->params();
     plan_.clear();
     plan_.resize(params->size());
-    for (autograd::Param* p : shared.tape.param_leaves()) {
+    for (autograd::Param* p : shared_tape.param_leaves()) {
       plan_[param_index_.at(p)].dense = true;
     }
     size_t total_rows = 0;
@@ -685,6 +679,10 @@ util::Status TrainConfig::Validate() const {
   if (weight_decay < 0.0f) {
     return util::Status::InvalidArgument("weight_decay must be >= 0");
   }
+  if (train_threads > kMaxTrainThreads) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "train_threads must be <= %u (0 = hardware)", kMaxTrainThreads));
+  }
   if (slice_size == 0) {
     return util::Status::InvalidArgument("slice_size must be > 0");
   }
@@ -705,78 +703,6 @@ BprTrainer::BprTrainer(RankingModel* model,
   HOSR_CHECK(config.Validate().ok()) << config.Validate().ToString();
 }
 
-size_t BprTrainer::ResolvedWorkers() const {
-  if (config_.train_threads != 0) return config_.train_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-bool BprTrainer::UseParallelEngine() {
-  const bool want = ResolvedWorkers() > 1 || config_.sparse_steps;
-  if (!want) return false;
-  if (model_->SupportsSlicedLoss()) return true;
-  if (!warned_fallback_) {
-    warned_fallback_ = true;
-    HOSR_LOG(Warning) << model_->name()
-                      << " does not support sliced losses; training "
-                         "sequentially with dense optimizer steps";
-  }
-  HOSR_COUNTER("trainer/fallback_sequential").Increment();
-  return false;
-}
-
-void BprTrainer::RunBatchesSequential(data::BatchPrefetcher* prefetcher,
-                                      size_t num_batches, EpochStats* stats) {
-  double total_loss = 0.0;
-  for (size_t b = 0; b < num_batches; ++b) {
-    const data::BprBatch batch = [&] {
-      HOSR_PHASE_US("trainer/sample_us");
-      return prefetcher->Next();
-    }();
-    stats->samples += batch.size();
-    autograd::Tape tape;
-    autograd::Value loss = [&] {
-      HOSR_TRACE_SPAN("trainer/forward");
-      HOSR_PHASE_US("trainer/forward_us");
-      return model_->BuildLoss(&tape, batch, &rng_);
-    }();
-    {
-      HOSR_TRACE_SPAN("trainer/backward");
-      HOSR_PHASE_US("trainer/backward_us");
-      model_->params()->ZeroGrad();
-      tape.Backward(loss);
-    }
-    {
-      HOSR_TRACE_SPAN("trainer/step");
-      HOSR_PHASE_US("trainer/step_us");
-      optimizer_->Step(model_->params());
-    }
-    total_loss += loss.value()(0, 0);
-  }
-  stats->avg_loss = total_loss / static_cast<double>(num_batches);
-}
-
-void BprTrainer::RunBatchesParallel(data::BatchPrefetcher* prefetcher,
-                                    size_t num_batches, EpochStats* stats) {
-  const size_t workers = ResolvedWorkers();
-  HOSR_GAUGE("trainer/train_threads").Set(static_cast<double>(workers));
-  ParallelEngine engine(model_, optimizer_.get(), config_, workers);
-  // The engine assumes clean gradients on entry; in sparse mode it then
-  // keeps them clean itself by re-zeroing exactly what each batch touched.
-  model_->params()->ZeroGrad();
-  double total_loss = 0.0;
-  for (size_t b = 0; b < num_batches; ++b) {
-    const data::BprBatch batch = [&] {
-      HOSR_PHASE_US("trainer/sample_us");
-      return prefetcher->Next();
-    }();
-    stats->samples += batch.size();
-    total_loss += engine.TrainBatch(batch, epoch_, b, &rng_);
-    HOSR_COUNTER("trainer/parallel_batches").Increment();
-  }
-  stats->avg_loss = total_loss / static_cast<double>(num_batches);
-}
-
 EpochStats BprTrainer::RunEpoch() {
   HOSR_TRACE_SPAN("trainer/epoch");
   util::WallTimer timer;
@@ -789,8 +715,8 @@ EpochStats BprTrainer::RunEpoch() {
              config_.batch_size);
   // The prefetcher draws exactly this epoch's batches in order, so the
   // sampler's RNG ends the epoch in the same state as synchronous sampling.
-  data::BatchPrefetcher prefetcher(&sampler_, config_.batch_size, num_batches,
-                                   config_.prefetch);
+  data::BatchPrefetcher prefetcher(&sampler_, config_.batch_size,
+                                   num_batches);
 
   // Phase-counter checkpoint: the deltas across this epoch become the
   // per-epoch utilization gauges below. Registry lookups (not the caching
@@ -807,11 +733,27 @@ EpochStats BprTrainer::RunEpoch() {
   EpochStats stats;
   stats.epoch = epoch_;
   stats.batches = num_batches;
-  if (UseParallelEngine()) {
-    RunBatchesParallel(&prefetcher, num_batches, &stats);
-  } else {
-    RunBatchesSequential(&prefetcher, num_batches, &stats);
+  // train_threads == 0 resolves to the hardware.
+  const size_t workers =
+      config_.train_threads != 0
+          ? config_.train_threads
+          : std::clamp<size_t>(std::thread::hardware_concurrency(), 1,
+                               kMaxTrainThreads);
+  HOSR_GAUGE("trainer/train_threads").Set(static_cast<double>(workers));
+  ParallelEngine engine(model_, optimizer_.get(), config_, workers);
+  // The engine assumes clean gradients on entry; in sparse mode it then
+  // keeps them clean itself by re-zeroing exactly what each batch touched.
+  model_->params()->ZeroGrad();
+  double total_loss = 0.0;
+  for (size_t b = 0; b < num_batches; ++b) {
+    const data::BprBatch batch = [&] {
+      HOSR_PHASE_US("trainer/sample_us");
+      return prefetcher.Next();
+    }();
+    stats.samples += batch.size();
+    total_loss += engine.TrainBatch(batch, &rng_);
   }
+  stats.avg_loss = total_loss / static_cast<double>(num_batches);
 
   stats.seconds = timer.ElapsedSeconds();
   stats.samples_per_sec =

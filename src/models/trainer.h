@@ -13,6 +13,10 @@
 
 namespace hosr::models {
 
+// Upper bound on TrainConfig::train_threads (and on the hardware count
+// train_threads == 0 resolves to).
+inline constexpr uint32_t kMaxTrainThreads = 256;
+
 // Hyper-parameters of the paper's training protocol (Sec. 3.1).
 struct TrainConfig {
   uint32_t epochs = 30;
@@ -25,13 +29,12 @@ struct TrainConfig {
   uint64_t seed = 1;
   bool verbose = false;                // log per-epoch loss
 
-  // --- Parallel training engine (docs/PERFORMANCE.md) -----------------
-  // Worker threads for intra-batch data parallelism: 1 = the sequential
-  // loop, >= 2 = the sliced parallel engine (for models that support it),
-  // 0 = hardware concurrency. The training trajectory is bit-identical
-  // across every value — trainer_parallel_test locks this in — so the
-  // checkpoint format deliberately leaves it out: checkpoints move freely
-  // between thread counts.
+  // --- Training engine (docs/PERFORMANCE.md) --------------------------
+  // Worker threads for intra-batch data parallelism, at most
+  // kMaxTrainThreads; 0 = hardware concurrency. The training trajectory is
+  // bit-identical across every value — trainer_parallel_test locks this
+  // in — so the checkpoint format deliberately leaves it out: checkpoints
+  // move freely between thread counts.
   uint32_t train_threads = 1;
   // Batch rows per worker slice. Any value >= 1 yields the same
   // trajectory; smaller slices balance better, larger amortize per-slice
@@ -42,10 +45,6 @@ struct TrainConfig {
   // step's decay entirely). CHANGES the trajectory relative to dense
   // steps, so it is part of the checkpoint config identity.
   bool sparse_steps = false;
-  // Overlap batch sampling with backward/step via a background prefetch
-  // thread. The batch sequence is unchanged (the prefetcher never samples
-  // across an epoch boundary), so this never affects the trajectory.
-  bool prefetch = true;
 
   util::Status Validate() const;
 };
@@ -62,9 +61,11 @@ struct EpochStats {
   double samples_per_sec = 0.0;
 };
 
-// Generic mini-batch trainer: samples BPR triples from the training matrix,
-// asks the model for its loss, backpropagates, and steps the optimizer.
-// Works unchanged for HOSR and all six baselines.
+// Generic mini-batch trainer: samples BPR triples from the training matrix
+// (on a background prefetch thread), trains each batch through the engine
+// — the model's shared forward, its loss slices across the workers, an
+// ordered reduction, the shared backward — and steps the optimizer. Works
+// unchanged for HOSR and all six baselines.
 class BprTrainer {
  public:
   // `model` and `train` must outlive the trainer.
@@ -99,19 +100,6 @@ class BprTrainer {
   util::Status RestoreTrainingState(const std::string& path);
 
  private:
-  // Worker count with train_threads == 0 resolved to the hardware.
-  size_t ResolvedWorkers() const;
-  // Whether this epoch runs the sliced parallel engine. Logs (once) and
-  // counts the fallback when the config asks for it but the model cannot
-  // slice its loss.
-  bool UseParallelEngine();
-  // The classic monolithic loop — exactly the arithmetic the engine must
-  // reproduce bit-for-bit.
-  void RunBatchesSequential(data::BatchPrefetcher* prefetcher,
-                            size_t num_batches, EpochStats* stats);
-  void RunBatchesParallel(data::BatchPrefetcher* prefetcher,
-                          size_t num_batches, EpochStats* stats);
-
   RankingModel* model_;
   const data::InteractionMatrix* train_;
   TrainConfig config_;
@@ -119,7 +107,6 @@ class BprTrainer {
   std::unique_ptr<optim::Optimizer> optimizer_;
   util::Rng rng_;
   uint32_t epoch_ = 0;
-  bool warned_fallback_ = false;
 };
 
 }  // namespace hosr::models

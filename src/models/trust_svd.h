@@ -37,20 +37,15 @@ class TrustSvd : public RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  // Shares one propagation of the effective user embedding across the
-  // positive and negative branches of the BPR loss.
-  autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
-                            util::Rng* rng) override;
-
-  // Sliced loss: the effective user embedding (SpMM terms) is the shared
-  // forward; the tail gathers are sliced.
-  bool SupportsSlicedLoss() const override { return true; }
+  // BPR loss: the effective user embedding (SpMM terms) is the shared
+  // forward, propagated once for the positive and negative branches; the
+  // tail gathers are sliced.
   void BuildSharedForward(SharedForward* shared, const data::BprBatch& batch,
                           util::Rng* rng) override;
   autograd::Value BuildLossSlice(autograd::Tape* tape,
                                  const SharedForward& shared,
                                  const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
+                                 size_t end) override;
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 

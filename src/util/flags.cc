@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <limits>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -64,6 +66,21 @@ double Flags::GetDouble(std::string_view name, double default_value) const {
     return default_value;
   }
   return parsed.value();
+}
+
+StatusOr<uint32_t> Flags::GetUint32(std::string_view name,
+                                    uint32_t default_value) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return default_value;
+  const auto parsed = ParseInt(it->second);
+  if (!parsed.ok() || parsed.value() < 0 ||
+      parsed.value() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("flag --%s: \"%s\" is not an integer in [0, %u]",
+                  std::string(name).c_str(), it->second.c_str(),
+                  std::numeric_limits<uint32_t>::max()));
+  }
+  return static_cast<uint32_t>(parsed.value());
 }
 
 bool Flags::GetBool(std::string_view name, bool default_value) const {

@@ -6,7 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "util/status.h"
+#include "util/statusor.h"
 
 namespace hosr::util {
 
@@ -29,6 +29,12 @@ class Flags {
   int64_t GetInt(std::string_view name, int64_t default_value) const;
   double GetDouble(std::string_view name, double default_value) const;
   bool GetBool(std::string_view name, bool default_value) const;
+
+  // A count that must fit uint32_t: `default_value` when absent, and an
+  // InvalidArgument naming the flag when the value is malformed, negative
+  // or too large (never silently wrapped or defaulted).
+  StatusOr<uint32_t> GetUint32(std::string_view name,
+                               uint32_t default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

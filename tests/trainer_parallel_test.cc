@@ -1,10 +1,10 @@
-// Parallel training engine suite (docs/PERFORMANCE.md "Parallel training"):
-// the sliced engine must be BIT-identical to the sequential trainer for
-// every worker count, slice size, and prefetch setting — proven by
-// byte-comparing full training states (params + optimizer state + RNG
-// streams) after multi-epoch runs — plus the row-sparse optimizer path,
-// prefetcher shutdown/sequence contracts, and kill-and-resume across
-// differing thread counts.
+// Training engine suite (docs/PERFORMANCE.md "Parallel training"): every
+// model's trajectory must be BIT-identical for every worker count and
+// slice size, and equal to the golden digests recorded from the original
+// sequential loop — proven by byte-comparing full training states (params
+// + optimizer state + RNG streams) after multi-epoch runs — plus the
+// row-sparse optimizer path, prefetcher shutdown/sequence contracts,
+// kill-and-resume across differing thread counts, and the config bounds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/hosr_gat.h"
@@ -20,10 +21,13 @@
 #include "core/model_zoo.h"
 #include "data/sampler.h"
 #include "data/synthetic.h"
+#include "kernels/kernels.h"
 #include "models/trainer.h"
 #include "optim/optimizer.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace hosr {
 namespace {
@@ -67,6 +71,18 @@ ModelFactory ZooFactory(const std::string& name, float hosr_dropout = 0.2f) {
   };
 }
 
+// HOSR-GAT / HOSR-Joint at the zoo test sizes.
+template <typename Model>
+ModelFactory ExtensionFactory() {
+  return [] {
+    typename Model::Config c;
+    c.embedding_dim = 6;
+    c.num_layers = 2;
+    c.graph_dropout = 0.2f;
+    return std::make_unique<Model>(TestDataset(), c);
+  };
+}
+
 models::TrainConfig BaseConfig() {
   models::TrainConfig config;
   config.epochs = 2;
@@ -97,103 +113,101 @@ std::string TrainedStateBytes(const ModelFactory& factory,
 
 // --- bit-identity across worker counts ---------------------------------------
 
-TEST(ParallelTrainerTest, BprBitIdenticalAcrossThreadsSlicesAndPrefetch) {
-  const ModelFactory factory = ZooFactory("BPR");
-  models::TrainConfig config = BaseConfig();
+// Every trainable model — the zoo, HOSR with heavier graph dropout, and
+// the two HOSR extensions — with the CRC-32 of its training state after
+// BaseConfig() training, recorded from the original sequential loop (one
+// single-tape loss per batch) before the engine became the only trainer
+// path. Keyed by kernel dispatch level: AVX2 and scalar kernels reduce in
+// different orders.
+struct GoldenModel {
+  std::string name;
+  ModelFactory factory;
+  uint32_t avx2_digest;
+  uint32_t scalar_digest;
+};
 
-  const std::string sequential = TrainedStateBytes(factory, config, "seq");
-
-  config.train_threads = 2;
-  config.slice_size = 16;
-  EXPECT_EQ(sequential, TrainedStateBytes(factory, config, "t2"))
-      << "2-thread engine diverged from the sequential trainer";
-
-  config.train_threads = 4;
-  config.slice_size = 7;  // ragged slices must not matter
-  EXPECT_EQ(sequential, TrainedStateBytes(factory, config, "t4"))
-      << "4-thread engine with ragged slices diverged";
-
-  config.train_threads = 3;
-  config.slice_size = 1024;  // one slice spanning the whole batch
-  EXPECT_EQ(sequential, TrainedStateBytes(factory, config, "t3wide"))
-      << "single-slice engine diverged";
-
-  config.train_threads = 2;
-  config.slice_size = 16;
-  config.prefetch = false;
-  EXPECT_EQ(sequential, TrainedStateBytes(factory, config, "nopf"))
-      << "prefetch toggle changed the trajectory";
+std::vector<GoldenModel> GoldenModels() {
+  return {
+      {"BPR", ZooFactory("BPR"), 0xc976a310u, 0x582dd1f8u},
+      {"NCF", ZooFactory("NCF"), 0x4e3375b8u, 0xb887e699u},
+      {"TrustSVD", ZooFactory("TrustSVD"), 0xef7f6418u, 0x4d78220fu},
+      {"NSCR", ZooFactory("NSCR"), 0x32e6dcc1u, 0x6cdd9414u},
+      {"IF-BPR+", ZooFactory("IF-BPR+"), 0x4c60a6c1u, 0xa11f1f02u},
+      {"DeepInf", ZooFactory("DeepInf"), 0xb9f92f23u, 0xc0b56be7u},
+      {"HOSR", ZooFactory("HOSR"), 0x750392eeu, 0x9d0858e2u},
+      {"HOSR/graph_dropout=0.3", ZooFactory("HOSR", 0.3f), 0x3e199db6u,
+       0xd058d082u},
+      {"HOSR-GAT", ExtensionFactory<core::HosrGat>(), 0xa031e085u,
+       0x9e35fefbu},
+      {"HOSR-Joint", ExtensionFactory<core::HosrJoint>(), 0xba1f9464u,
+       0x5f57a32du},
+  };
 }
 
-TEST(ParallelTrainerTest, HosrWithDropoutBitIdenticalAcrossThreads) {
-  // Graph dropout ON: the shared forward must consume the dropout RNG once
-  // per batch exactly as the monolithic loss would.
-  const ModelFactory factory = ZooFactory("HOSR", /*hosr_dropout=*/0.3f);
-  models::TrainConfig config = BaseConfig();
+std::string Hex(uint32_t v) { return util::StrFormat("0x%08xu", v); }
 
-  const std::string sequential = TrainedStateBytes(factory, config, "hseq");
+// CRC-32 of a training-state file's body: the value its own footer holds
+// (a CRC over body + footer would be the constant CRC residue).
+uint32_t StateDigest(const std::string& state_bytes) {
+  return util::Crc32(
+      std::string_view(state_bytes.data(), state_bytes.size() - 4));
+}
 
-  config.train_threads = 4;
-  config.slice_size = 13;
-  EXPECT_EQ(sequential, TrainedStateBytes(factory, config, "ht4"))
-      << "HOSR engine diverged from sequential";
+// Number of body bytes (CRC footer excluded) at which two equally long
+// training states differ.
+size_t DifferingBodyBytes(const std::string& a, const std::string& b) {
+  HOSR_CHECK(a.size() == b.size() && a.size() > 4);
+  size_t differing = 0;
+  for (size_t i = 0; i + 4 < a.size(); ++i) differing += a[i] != b[i];
+  return differing;
 }
 
 TEST(ParallelTrainerTest, EverySlicedModelBitIdenticalAcrossThreads) {
-  std::vector<std::pair<std::string, ModelFactory>> factories = {
-      {"TrustSVD", ZooFactory("TrustSVD")},
-      {"IF-BPR+", ZooFactory("IF-BPR+")},
-      {"HOSR-GAT",
-       [] {
-         core::HosrGat::Config c;
-         c.embedding_dim = 6;
-         c.num_layers = 2;
-         c.graph_dropout = 0.2f;
-         return std::make_unique<core::HosrGat>(TestDataset(), c);
-       }},
-      {"HOSR-Joint",
-       [] {
-         core::HosrJoint::Config c;
-         c.embedding_dim = 6;
-         c.num_layers = 2;
-         c.graph_dropout = 0.2f;
-         return std::make_unique<core::HosrJoint>(TestDataset(), c);
-       }},
-  };
-  for (const auto& [name, factory] : factories) {
+  const bool avx2 = kernels::Active().level == kernels::kLevelAvx2;
+  for (const auto& [name, factory, avx2_digest, scalar_digest] :
+       GoldenModels()) {
     models::TrainConfig config = BaseConfig();
-    ASSERT_TRUE(factory()->SupportsSlicedLoss()) << name;
-    const std::string sequential =
-        TrainedStateBytes(factory, config, "m_seq");
+    const std::string one_worker = TrainedStateBytes(factory, config, "m_t1");
+    EXPECT_EQ(Hex(avx2 ? avx2_digest : scalar_digest),
+              Hex(StateDigest(one_worker)))
+        << name << " moved off its recorded training trajectory";
     config.train_threads = 3;
-    config.slice_size = 11;
-    EXPECT_EQ(sequential, TrainedStateBytes(factory, config, "m_t3"))
-        << name << " engine diverged from sequential";
+    config.slice_size = 7;  // ragged slices
+    EXPECT_EQ(one_worker, TrainedStateBytes(factory, config, "m_t3"))
+        << name << " diverged at 3 workers with ragged slices";
+    config.slice_size = 1024;  // one slice spanning the whole batch
+    EXPECT_EQ(one_worker, TrainedStateBytes(factory, config, "m_t3wide"))
+        << name << " diverged at 3 workers with one slice";
   }
 }
 
 // --- sparse optimizer steps --------------------------------------------------
 
-TEST(ParallelTrainerTest, SparseStepsThreadInvariantButDistinctFromDense) {
-  const ModelFactory factory = ZooFactory("BPR");
-  models::TrainConfig config = BaseConfig();
-
-  const std::string dense = TrainedStateBytes(factory, config, "dense");
-
-  config.sparse_steps = true;
-  config.train_threads = 1;  // engine with a single worker
-  const std::string sparse1 = TrainedStateBytes(factory, config, "sp1");
-  config.train_threads = 4;
-  config.slice_size = 9;
-  const std::string sparse4 = TrainedStateBytes(factory, config, "sp4");
-
-  EXPECT_EQ(sparse1, sparse4)
-      << "sparse-step trajectory depends on worker count";
-  // Lazy weight decay skips untouched rows, so with weight_decay > 0 the
-  // sparse trajectory is a genuinely different (and legitimate) run. The
-  // config block also differs by the sparse_steps byte.
-  EXPECT_NE(dense, sparse1)
-      << "sparse steps with nonzero decay should not match dense steps";
+TEST(ParallelTrainerTest, SparseStepsThreadInvariantAcrossModels) {
+  // BPR's sparse plan skips untouched rows, so with weight_decay > 0 lazy
+  // decay makes a genuinely different (and legitimate) run. NCF and NSCR
+  // build their whole loss on the shared tape: every parameter is a dense
+  // leaf there, the plan steps each one densely, and the state differs
+  // from the dense-step one only in the config block's sparse_steps byte.
+  for (const auto& [name, lazy_decay] :
+       {std::pair{"BPR", true}, {"NCF", false}, {"NSCR", false}}) {
+    const ModelFactory factory = ZooFactory(name);
+    models::TrainConfig config = BaseConfig();
+    const std::string dense = TrainedStateBytes(factory, config, "dense");
+    config.sparse_steps = true;
+    const std::string sparse1 = TrainedStateBytes(factory, config, "sp1");
+    config.train_threads = 4;
+    config.slice_size = 9;
+    EXPECT_EQ(sparse1, TrainedStateBytes(factory, config, "sp4"))
+        << name << " sparse-step trajectory depends on worker count";
+    if (lazy_decay) {
+      EXPECT_GT(DifferingBodyBytes(dense, sparse1), 1u)
+          << name << " sparse steps with nonzero decay matched dense steps";
+    } else {
+      EXPECT_EQ(DifferingBodyBytes(dense, sparse1), 1u)
+          << name << " sparse steps moved off the dense-step trajectory";
+    }
+  }
 }
 
 TEST(SparseOptimizerTest, DenseRowPlanMatchesStepBitwise) {
@@ -278,8 +292,7 @@ TEST(BatchPrefetcherTest, DeliversTheSynchronousSequence) {
   data::BprSampler plain(&interactions, 1234);
   data::BprSampler prefetched(&interactions, 1234);
   const size_t kBatches = 7;
-  data::BatchPrefetcher prefetcher(&prefetched, 32, kBatches,
-                                   /*enabled=*/true);
+  data::BatchPrefetcher prefetcher(&prefetched, 32, kBatches);
   for (size_t b = 0; b < kBatches; ++b) {
     const data::BprBatch expected = plain.SampleBatch(32);
     const data::BprBatch got = prefetcher.Next();
@@ -297,26 +310,13 @@ TEST(BatchPrefetcherTest, DestructionWithUnconsumedBatchesDoesNotDeadlock) {
   const auto& interactions = TestDataset().interactions;
   data::BprSampler sampler(&interactions, 99);
   {
-    data::BatchPrefetcher prefetcher(&sampler, 16, 100, /*enabled=*/true);
+    data::BatchPrefetcher prefetcher(&sampler, 16, 100);
     (void)prefetcher.Next();  // consume 1 of 100, then destroy
   }
   {
-    data::BatchPrefetcher untouched(&sampler, 16, 100, /*enabled=*/true);
+    data::BatchPrefetcher untouched(&sampler, 16, 100);
   }  // consume none at all
   SUCCEED();
-}
-
-TEST(BatchPrefetcherTest, DisabledModeSamplesSynchronously) {
-  const auto& interactions = TestDataset().interactions;
-  data::BprSampler plain(&interactions, 4321);
-  data::BprSampler wrapped(&interactions, 4321);
-  data::BatchPrefetcher prefetcher(&wrapped, 24, 3, /*enabled=*/false);
-  for (size_t b = 0; b < 3; ++b) {
-    const data::BprBatch expected = plain.SampleBatch(24);
-    const data::BprBatch got = prefetcher.Next();
-    ASSERT_EQ(expected.users, got.users);
-    ASSERT_EQ(expected.neg_items, got.neg_items);
-  }
 }
 
 // --- resume across thread counts ---------------------------------------------
@@ -331,7 +331,7 @@ TEST(ParallelTrainerTest, ResumeSwitchingThreadCountsStaysBitIdentical) {
   const std::string straight =
       TrainedStateBytes(factory, config, "straight");
 
-  // Interrupted run: one epoch sequentially, checkpoint, then resume on a
+  // Interrupted run: one epoch on one worker, checkpoint, then resume on a
   // different thread count (train_threads is deliberately outside the
   // checkpoint's config identity).
   const std::string state_path = TempPath("hosr_ptrain_resume_state");
@@ -386,17 +386,19 @@ TEST(ParallelTrainerTest, SparseStepsIsPartOfCheckpointIdentity) {
   std::remove(state_path.c_str());
 }
 
-// --- fallback + stats --------------------------------------------------------
+// --- config bounds + stats ---------------------------------------------------
 
-TEST(ParallelTrainerTest, UnslicedModelFallsBackToSequential) {
-  const ModelFactory factory = ZooFactory("NCF");
-  ASSERT_FALSE(factory()->SupportsSlicedLoss());
+TEST(ParallelTrainerTest, ValidateBoundsTrainThreads) {
   models::TrainConfig config = BaseConfig();
-  config.epochs = 1;
-
-  const std::string sequential = TrainedStateBytes(factory, config, "ncf1");
-  config.train_threads = 4;  // ignored with a warning, not an abort
-  EXPECT_EQ(sequential, TrainedStateBytes(factory, config, "ncf4"));
+  config.train_threads = 0;  // hardware
+  EXPECT_TRUE(config.Validate().ok());
+  config.train_threads = models::kMaxTrainThreads;
+  EXPECT_TRUE(config.Validate().ok());
+  config.train_threads = models::kMaxTrainThreads + 1;
+  EXPECT_FALSE(config.Validate().ok());
+  // What a negative flag value used to wrap to.
+  config.train_threads = static_cast<uint32_t>(-1);
+  EXPECT_EQ(config.Validate().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(ParallelTrainerTest, EpochStatsCountActuallySampledTriples) {

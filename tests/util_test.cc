@@ -336,6 +336,22 @@ TEST(FlagsTest, GetIntRoundTripsNegativeValues) {
   EXPECT_EQ(f.GetInt("delta", 0), -7);  // space syntax, leading '-'
 }
 
+TEST(FlagsTest, GetUint32RejectsNegativeOutOfRangeAndMalformed) {
+  const Flags f = ParseArgs({"--threads=-1", "--epochs=4294967296",
+                             "--batch=xyz", "--slice=4294967295",
+                             "--zero=0"});
+  EXPECT_EQ(f.GetUint32("missing", 9).value(), 9u);
+  EXPECT_EQ(f.GetUint32("zero", 9).value(), 0u);
+  EXPECT_EQ(f.GetUint32("slice", 9).value(), 4294967295u);
+  for (const char* name : {"threads", "epochs", "batch"}) {
+    const auto parsed = f.GetUint32(name, 1);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(name), std::string::npos)
+        << "the error must name the flag";
+  }
+}
+
 TEST(FlagsTest, GetDoubleRoundTripsNegativeValues) {
   const Flags f = ParseArgs({"--lr=-0.5", "--decay", "-1.25"});
   EXPECT_DOUBLE_EQ(f.GetDouble("lr", 0.0), -0.5);

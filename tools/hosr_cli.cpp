@@ -7,14 +7,13 @@
 //             [--epochs=N] [--lr=F] [--layers=N] [--early-stop]
 //             [--snapshot_out=FILE] [--train_state=FILE] [--resume]
 //             [--train_threads=N] [--train_slice=N] [--sparse_steps]
-//             [--train_prefetch=0]
 //             [--admin_port=N]  live /metricsz, /healthz, /varz, /profilez,
 //                               /timeseriez on 127.0.0.1:N while training
 //                               runs (starts the timeseries recorder too)
 //       Train a model on an on-disk dataset and save its parameters.
-//       --train_threads=N runs the deterministic parallel engine
-//       (docs/PERFORMANCE.md "Parallel training"): bit-identical to
-//       --train_threads=1 at any N (0 = hardware). --sparse_steps applies
+//       --train_threads=N runs the deterministic training engine with N
+//       workers (docs/PERFORMANCE.md "Parallel training"; 0 = hardware,
+//       at most 256): bit-identical at every N. --sparse_steps applies
 //       row-sparse optimizer updates with lazy weight decay (changes the
 //       trajectory; recorded in the training-state identity).
 //       --snapshot_out additionally freezes the trained model into a
@@ -128,16 +127,40 @@ util::StatusOr<Session> OpenSession(const util::Flags& flags) {
   HOSR_ASSIGN_OR_RETURN(session.split,
                         data::SplitDataset(session.dataset, 0.2, &split_rng));
   core::ZooConfig zoo;
-  zoo.embedding_dim = static_cast<uint32_t>(flags.GetInt("dim", 10));
+  HOSR_ASSIGN_OR_RETURN(zoo.embedding_dim, flags.GetUint32("dim", 10));
   zoo.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  zoo.hosr_layers = static_cast<uint32_t>(flags.GetInt("layers", 3));
+  HOSR_ASSIGN_OR_RETURN(zoo.hosr_layers, flags.GetUint32("layers", 3));
   HOSR_ASSIGN_OR_RETURN(session.model,
                         core::MakeModel(flags.GetString("model", "HOSR"),
                                         session.split.train, zoo));
   return session;
 }
 
+// The training hyper-parameters. Count flags must fit uint32_t and the
+// whole config must validate, so a value like --train_threads=-1 is a
+// clean error instead of a wrapped 4-billion-thread request.
+util::Status ReadTrainConfig(const util::Flags& flags,
+                             models::TrainConfig* config) {
+  HOSR_ASSIGN_OR_RETURN(config->epochs, flags.GetUint32("epochs", 40));
+  HOSR_ASSIGN_OR_RETURN(config->batch_size, flags.GetUint32("batch", 256));
+  config->learning_rate = static_cast<float>(flags.GetDouble("lr", 0.001));
+  config->weight_decay =
+      static_cast<float>(flags.GetDouble("weight-decay", 1e-5));
+  config->seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  config->verbose = flags.GetBool("verbose", false);
+  HOSR_ASSIGN_OR_RETURN(config->train_threads,
+                        flags.GetUint32("train_threads", 1));
+  HOSR_ASSIGN_OR_RETURN(config->slice_size,
+                        flags.GetUint32("train_slice", 128));
+  config->sparse_steps = flags.GetBool("sparse_steps", false);
+  return config->Validate();
+}
+
 int RunTrain(const util::Flags& flags) {
+  models::TrainConfig config;
+  if (auto status = ReadTrainConfig(flags, &config); !status.ok()) {
+    return Fail(status);
+  }
   auto session = OpenSession(flags);
   if (!session.ok()) return Fail(session.status());
   const std::string checkpoint = flags.GetString("checkpoint", "");
@@ -173,22 +196,6 @@ int RunTrain(const util::Flags& flags) {
     // readiness gate.
     obs::HealthTracker::Global().SetReady(true);
   }
-
-  models::TrainConfig config;
-  config.epochs = static_cast<uint32_t>(flags.GetInt("epochs", 40));
-  config.batch_size = static_cast<uint32_t>(flags.GetInt("batch", 256));
-  config.learning_rate =
-      static_cast<float>(flags.GetDouble("lr", 0.001));
-  config.weight_decay =
-      static_cast<float>(flags.GetDouble("weight-decay", 1e-5));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  config.verbose = flags.GetBool("verbose", false);
-  config.train_threads =
-      static_cast<uint32_t>(flags.GetInt("train_threads", 1));
-  config.slice_size =
-      static_cast<uint32_t>(flags.GetInt("train_slice", 128));
-  config.sparse_steps = flags.GetBool("sparse_steps", false);
-  config.prefetch = flags.GetBool("train_prefetch", true);
 
   const auto& train = session->split.train.interactions;
   if (flags.GetBool("early-stop", false)) {
