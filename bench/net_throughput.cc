@@ -16,13 +16,13 @@
 //
 // Run via run_benches.sh (picked up like every bench) or directly:
 //   ./build/bench/net_throughput --metrics_out=bench_metrics/net_throughput.json
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/serve_bench.h"
 #include "models/bpr_mf.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -45,19 +45,12 @@ constexpr size_t kNumRequests = 4096;
 constexpr uint32_t kNumUsers = 500;
 constexpr uint32_t kNumItems = 2000;
 constexpr uint32_t kTopK = 10;
-constexpr int64_t kMinPhaseNanos = 500'000'000;
-
-// Like hosr_serve's default on small boxes: match the machine, cap at 4.
-size_t NumClients() {
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::max<size_t>(1, std::min<size_t>(4, hw));
-}
 
 // Replays `requests` over real sockets until the phase has run at least
-// kMinPhaseNanos, recording per-query wire latencies. Returns QPS.
+// bench::kMinPhaseNanos, recording per-query wire latencies. Returns QPS.
 double LoopbackQps(int port, const std::vector<net::StreamRequest>& requests,
                    std::vector<int64_t>* latencies_ns) {
-  const size_t clients = NumClients();
+  const size_t clients = bench::NumReplayClients();
   std::vector<std::vector<int64_t>> recorded(clients);
   std::vector<std::thread> threads;
   threads.reserve(clients);
@@ -70,7 +63,7 @@ double LoopbackQps(int port, const std::vector<net::StreamRequest>& requests,
       const size_t begin = c * requests.size() / clients;
       const size_t end = (c + 1) * requests.size() / clients;
       uint64_t done = 0;
-      while (obs::NowNanos() - begin_ns < kMinPhaseNanos) {
+      while (obs::NowNanos() - begin_ns < bench::kMinPhaseNanos) {
         for (size_t i = begin; i < end; ++i) {
           const int64_t start = obs::NowNanos();
           auto result = client->Query(requests[i].user, requests[i].k,
@@ -90,37 +83,6 @@ double LoopbackQps(int port, const std::vector<net::StreamRequest>& requests,
     latencies_ns->insert(latencies_ns->end(), per_client.begin(),
                          per_client.end());
   }
-  return static_cast<double>(completed.load()) / elapsed_s;
-}
-
-// The same stream through the executor with no sockets — the numerator of
-// the overhead ratio.
-double InProcessQps(const serve::HardenedExecutor& executor,
-                    const std::vector<net::StreamRequest>& requests) {
-  const size_t clients = NumClients();
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  std::atomic<uint64_t> completed{0};
-  const int64_t begin_ns = obs::NowNanos();
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      const size_t begin = c * requests.size() / clients;
-      const size_t end = (c + 1) * requests.size() / clients;
-      uint64_t done = 0;
-      while (obs::NowNanos() - begin_ns < kMinPhaseNanos) {
-        for (size_t i = begin; i < end; ++i) {
-          auto response =
-              executor.Execute(requests[i].user, requests[i].k, /*token=*/i);
-          HOSR_CHECK(response.ok());
-          ++done;
-        }
-      }
-      completed.fetch_add(done, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double elapsed_s =
-      static_cast<double>(obs::NowNanos() - begin_ns) / 1e9;
   return static_cast<double>(completed.load()) / elapsed_s;
 }
 
@@ -149,7 +111,7 @@ int main(int argc, char** argv) {
 
   net::NetServer::Options options;
   options.manager = manager->get();
-  options.worker_threads = static_cast<int>(NumClients());
+  options.worker_threads = static_cast<int>(bench::NumReplayClients());
   net::NetServer server(options);
   HOSR_CHECK(server.Start().ok());
 
@@ -164,8 +126,13 @@ int main(int argc, char** argv) {
   const net::LatencySummary latency =
       net::SummarizeLatencies(&latencies_ns);
 
-  (void)InProcessQps(executor, requests);  // warmup
-  const double inproc_qps = InProcessQps(executor, requests);
+  // The same stream through the executor with no sockets — the numerator
+  // of the overhead ratio.
+  const auto in_process = [&](const net::StreamRequest& r, uint64_t token) {
+    return executor.Execute(r.user, r.k, token);
+  };
+  (void)bench::ReplayQps(requests, in_process);  // warmup
+  const double inproc_qps = bench::ReplayQps(requests, in_process);
   const double ratio = loopback_qps > 0.0 ? inproc_qps / loopback_qps : 0.0;
 
   server.Stop();

@@ -8,93 +8,20 @@
 //
 // Run via run_benches.sh (picked up like every bench) or directly:
 //   ./build/bench/serve_admin --metrics_out=bench_metrics/serve_admin.json
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <thread>
-#include <vector>
 
-#include "data/synthetic.h"
-#include "models/bpr_mf.h"
+#include "common/serve_bench.h"
 #include "obs/admin_server.h"
-#include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
-#include "serve/engine.h"
-#include "serve/hardened.h"
-#include "serve/snapshot.h"
 #include "util/flags.h"
 #include "util/logging.h"
-#include "util/random.h"
-#include "util/string_util.h"
-
-namespace {
 
 using namespace hosr;
-
-constexpr size_t kNumRequests = 4096;
-constexpr double kZipf = 0.9;
-
-// More client threads than cores just measures the scheduler: on a 1-core
-// runner, 4 spinning clients + a poller turn scheduling noise into fake
-// "overhead". Match the replay parallelism to the machine (capped at 4,
-// like hosr_serve's default clients on small boxes).
-size_t NumClients() {
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::max<size_t>(1, std::min<size_t>(4, hw));
-}
-
-// Bounded-Zipf user sampler (inverse-CDF of the continuous analog) — the
-// same request mix hosr_serve replays with --zipf=0.9.
-uint32_t SampleUser(util::Rng* rng, uint32_t num_users, double s) {
-  const double n = static_cast<double>(num_users);
-  const double u = rng->UniformDouble();
-  const double x = std::pow((std::pow(n, 1.0 - s) - 1.0) * u + 1.0,
-                            1.0 / (1.0 - s));
-  return std::min(static_cast<uint32_t>(x - 1.0), num_users - 1);
-}
-
-// Replays the 4k stream across NumClients() threads through `executor`,
-// each request under its own RequestContext (trace id = stream index + 1,
-// as in hosr_serve), looping the stream until the phase has run for at
-// least kMinPhaseNanos so the QPS number is not startup noise. Returns QPS.
-constexpr int64_t kMinPhaseNanos = 500'000'000;
-
-double ReplayQps(const serve::HardenedExecutor& executor,
-                 const std::vector<uint32_t>& requests) {
-  const size_t clients = NumClients();
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  std::atomic<uint64_t> completed{0};
-  const int64_t begin_ns = obs::NowNanos();
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, clients, c] {
-      const size_t begin = c * requests.size() / clients;
-      const size_t end = (c + 1) * requests.size() / clients;
-      uint64_t done = 0;
-      while (obs::NowNanos() - begin_ns < kMinPhaseNanos) {
-        for (size_t i = begin; i < end; ++i) {
-          const obs::ScopedRequestContext request_scope(
-              obs::RequestContext{static_cast<uint64_t>(i) + 1, requests[i],
-                                  10});
-          auto response = executor.Execute(requests[i], 10, /*token=*/i);
-          HOSR_CHECK(response.ok());
-          ++done;
-        }
-      }
-      completed.fetch_add(done, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double elapsed_s =
-      static_cast<double>(obs::NowNanos() - begin_ns) / 1e9;
-  return static_cast<double>(completed.load()) / elapsed_s;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   obs::InitFromFlags(util::Flags::Parse(argc, argv));
@@ -102,34 +29,11 @@ int main(int argc, char** argv) {
   // them is the live admin server + its pollers, not instrumentation cost.
   obs::SetEnabled(true);
 
-  auto generated =
-      data::GenerateSynthetic(data::SyntheticConfig::YelpLike(0.05));
-  HOSR_CHECK(generated.ok());
-  const data::Dataset dataset = std::move(generated).value();
-  models::BprMf::Config config;
-  config.embedding_dim = 10;
-  models::BprMf model(dataset.num_users(), dataset.num_items(), config);
-  auto built = serve::BuildSnapshot(model);
-  HOSR_CHECK(built.ok());
-  const serve::ModelSnapshot snapshot = std::move(built).value();
-  const serve::InferenceEngine engine(snapshot, &dataset.interactions);
-  const serve::HardenedExecutor executor(&engine, serve::HardenedOptions{});
-
-  util::Rng rng(17);
-  std::vector<uint32_t> requests(kNumRequests);
-  for (auto& user : requests) {
-    user = SampleUser(&rng, engine.num_users(), kZipf);
-  }
-
-  // Warmup.
-  (void)ReplayQps(executor, requests);
+  const bench::ServeFixture fixture;
+  (void)bench::ReplayQps(fixture);  // warmup
 
   // The admin server stays live the whole time; what alternates per pair is
-  // whether a poller is hammering it. Interleaved pairs + median cancel the
-  // drift a single 0.5s window picks up from a busy runner (frequency
-  // scaling, page cache, unrelated load), and the within-pair order flips
-  // every pair (off/on, on/off, ... — ABBA) so monotonic drift biases
-  // neither side.
+  // whether a poller is hammering it.
   //
   // The poller cycles all five endpoints at a scraper-like cadence (one
   // request every 100ms — a full cycle over all five endpoints per >=0.5s
@@ -142,8 +46,6 @@ int main(int argc, char** argv) {
   admin.SetVar("binary", "serve_admin_bench");
   obs::HealthTracker::Global().SetReady(true);
 
-  constexpr int kPairs = 5;
-  std::vector<double> off_samples, on_samples;
   uint64_t total_polls = 0;
   const auto polled_replay = [&] {
     std::atomic<bool> stop_polling{false};
@@ -160,29 +62,16 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
       }
     });
-    const double qps = ReplayQps(executor, requests);
+    const double qps = bench::ReplayQps(fixture);
     stop_polling.store(true);
     poller.join();
     total_polls += polls.load();
     return qps;
   };
-  for (int pair = 0; pair < kPairs; ++pair) {
-    if (pair % 2 == 0) {
-      off_samples.push_back(ReplayQps(executor, requests));
-      on_samples.push_back(polled_replay());
-    } else {
-      on_samples.push_back(polled_replay());
-      off_samples.push_back(ReplayQps(executor, requests));
-    }
-  }
+  const auto [qps_off, qps_on] = bench::RunAbbaPairs(
+      [&] { return bench::ReplayQps(fixture); }, polled_replay);
   admin.Stop();
 
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double qps_off = median(off_samples);
-  const double qps_on = median(on_samples);
   const double penalty = qps_off / qps_on;
   auto& registry = obs::Registry::Global();
   registry.GetGauge("bench/serve_admin/replay_top10_qps_admin_off")
@@ -191,11 +80,11 @@ int main(int argc, char** argv) {
       ->Set(qps_on);
   registry.GetGauge("bench/serve_admin/admin_overhead_penalty")->Set(penalty);
   registry.GetGauge("bench/serve_admin/admin_polls_per_replay")
-      ->Set(static_cast<double>(total_polls) / kPairs);
+      ->Set(static_cast<double>(total_polls) / bench::kAbbaPairs);
   std::printf(
       "admin off: %.0f QPS | admin on: %.0f QPS (%.1f%% overhead, median of "
       "%d pairs, %llu endpoint polls total)\n",
-      qps_off, qps_on, (penalty - 1.0) * 100.0, kPairs,
+      qps_off, qps_on, (penalty - 1.0) * 100.0, bench::kAbbaPairs,
       static_cast<unsigned long long>(total_polls));
   return 0;
 }

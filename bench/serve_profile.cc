@@ -10,88 +10,19 @@
 //
 // Run via run_benches.sh (picked up like every bench) or directly:
 //   ./build/bench/serve_profile --metrics_out=bench_metrics/serve_profile.json
-#include <algorithm>
-#include <atomic>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <thread>
-#include <vector>
 
-#include "data/synthetic.h"
-#include "models/bpr_mf.h"
-#include "obs/context.h"
+#include "common/serve_bench.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/reporter.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "serve/engine.h"
-#include "serve/hardened.h"
-#include "serve/snapshot.h"
 #include "util/flags.h"
 #include "util/logging.h"
-#include "util/random.h"
-
-namespace {
 
 using namespace hosr;
-
-constexpr size_t kNumRequests = 4096;
-constexpr double kZipf = 0.9;
-
-// More client threads than cores just measures the scheduler (see
-// serve_admin.cc); match the replay parallelism to the machine, capped at 4.
-size_t NumClients() {
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::max<size_t>(1, std::min<size_t>(4, hw));
-}
-
-// Bounded-Zipf user sampler — the same request mix hosr_serve replays with
-// --zipf=0.9.
-uint32_t SampleUser(util::Rng* rng, uint32_t num_users, double s) {
-  const double n = static_cast<double>(num_users);
-  const double u = rng->UniformDouble();
-  const double x = std::pow((std::pow(n, 1.0 - s) - 1.0) * u + 1.0,
-                            1.0 / (1.0 - s));
-  return std::min(static_cast<uint32_t>(x - 1.0), num_users - 1);
-}
-
-// Replays the 4k stream across NumClients() threads, looping until the
-// phase has run for at least kMinPhaseNanos. Returns QPS.
-constexpr int64_t kMinPhaseNanos = 500'000'000;
-
-double ReplayQps(const serve::HardenedExecutor& executor,
-                 const std::vector<uint32_t>& requests) {
-  const size_t clients = NumClients();
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  std::atomic<uint64_t> completed{0};
-  const int64_t begin_ns = obs::NowNanos();
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, clients, c] {
-      const size_t begin = c * requests.size() / clients;
-      const size_t end = (c + 1) * requests.size() / clients;
-      uint64_t done = 0;
-      while (obs::NowNanos() - begin_ns < kMinPhaseNanos) {
-        for (size_t i = begin; i < end; ++i) {
-          const obs::ScopedRequestContext request_scope(
-              obs::RequestContext{static_cast<uint64_t>(i) + 1, requests[i],
-                                  10});
-          auto response = executor.Execute(requests[i], 10, /*token=*/i);
-          HOSR_CHECK(response.ok());
-          ++done;
-        }
-      }
-      completed.fetch_add(done, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double elapsed_s =
-      static_cast<double>(obs::NowNanos() - begin_ns) / 1e9;
-  return static_cast<double>(completed.load()) / elapsed_s;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   obs::InitFromFlags(util::Flags::Parse(argc, argv));
@@ -99,36 +30,12 @@ int main(int argc, char** argv) {
   // them is the profiler + recorder, not instrumentation cost.
   obs::SetEnabled(true);
 
-  auto generated =
-      data::GenerateSynthetic(data::SyntheticConfig::YelpLike(0.05));
-  HOSR_CHECK(generated.ok());
-  const data::Dataset dataset = std::move(generated).value();
-  models::BprMf::Config config;
-  config.embedding_dim = 10;
-  models::BprMf model(dataset.num_users(), dataset.num_items(), config);
-  auto built = serve::BuildSnapshot(model);
-  HOSR_CHECK(built.ok());
-  const serve::ModelSnapshot snapshot = std::move(built).value();
-  const serve::InferenceEngine engine(snapshot, &dataset.interactions);
-  const serve::HardenedExecutor executor(&engine, serve::HardenedOptions{});
+  const bench::ServeFixture fixture;
+  (void)bench::ReplayQps(fixture);  // warmup
 
-  util::Rng rng(17);
-  std::vector<uint32_t> requests(kNumRequests);
-  for (auto& user : requests) {
-    user = SampleUser(&rng, engine.num_users(), kZipf);
-  }
-
-  // Warmup.
-  (void)ReplayQps(executor, requests);
-
-  // Interleaved pairs + median cancel the drift a single 0.5s window picks
-  // up from a busy runner, and the within-pair order flips every pair
-  // (disarmed/armed, armed/disarmed, ... — ABBA) so monotonic drift biases
-  // neither side. Each armed phase start/stops a fresh profiler session and
-  // recorder, which also exercises the rearm path the /profilez window
-  // endpoint depends on.
-  constexpr int kPairs = 5;
-  std::vector<double> off_samples, on_samples;
+  // Each armed phase start/stops a fresh profiler session and recorder,
+  // which also exercises the rearm path the /profilez window endpoint
+  // depends on.
   uint64_t total_samples = 0;
   uint64_t total_dropped = 0;
   const auto armed_replay = [&] {
@@ -138,29 +45,16 @@ int main(int argc, char** argv) {
     obs::TimeseriesRecorder::Options recorder_options;
     recorder_options.snapshot_interval_s = 0.25;
     HOSR_CHECK(obs::TimeseriesRecorder::Global().Start(recorder_options).ok());
-    const double qps = ReplayQps(executor, requests);
+    const double qps = bench::ReplayQps(fixture);
     obs::TimeseriesRecorder::Global().Stop();
     const obs::Profile profile = obs::Profiler::Global().StopAndCollect();
     total_samples += profile.samples;
     total_dropped += profile.dropped;
     return qps;
   };
-  for (int pair = 0; pair < kPairs; ++pair) {
-    if (pair % 2 == 0) {
-      off_samples.push_back(ReplayQps(executor, requests));
-      on_samples.push_back(armed_replay());
-    } else {
-      on_samples.push_back(armed_replay());
-      off_samples.push_back(ReplayQps(executor, requests));
-    }
-  }
+  const auto [qps_off, qps_on] = bench::RunAbbaPairs(
+      [&] { return bench::ReplayQps(fixture); }, armed_replay);
 
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double qps_off = median(off_samples);
-  const double qps_on = median(on_samples);
   const double penalty = qps_off / qps_on;
   auto& registry = obs::Registry::Global();
   registry.GetGauge("bench/serve_profile/replay_top10_qps_disarmed")
@@ -170,13 +64,13 @@ int main(int argc, char** argv) {
   registry.GetGauge("bench/serve_profile/profile_overhead_penalty")
       ->Set(penalty);
   registry.GetGauge("bench/serve_profile/profile_samples_per_replay")
-      ->Set(static_cast<double>(total_samples) / kPairs);
+      ->Set(static_cast<double>(total_samples) / bench::kAbbaPairs);
   registry.GetGauge("bench/serve_profile/profile_dropped_samples")
       ->Set(static_cast<double>(total_dropped));
   std::printf(
       "disarmed: %.0f QPS | armed: %.0f QPS (%.1f%% overhead, median of %d "
       "pairs, %llu stack samples, %llu dropped)\n",
-      qps_off, qps_on, (penalty - 1.0) * 100.0, kPairs,
+      qps_off, qps_on, (penalty - 1.0) * 100.0, bench::kAbbaPairs,
       static_cast<unsigned long long>(total_samples),
       static_cast<unsigned long long>(total_dropped));
   return 0;

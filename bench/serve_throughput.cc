@@ -1,14 +1,13 @@
 // Serving-path benchmarks: single-user top-K latency (the acceptance
-// criterion's ≥50k QPS single-user top-10 path), batched top-K, the cached
-// hot path, and snapshot (de)serialization. Run via run_benches.sh or:
+// criterion's ≥50k QPS single-user top-10 path), the cached hot path, and
+// snapshot (de)serialization. Run via run_benches.sh or:
 //   ./build/bench/serve_throughput --benchmark_filter=TopK
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <vector>
 
-#include "data/synthetic.h"
-#include "models/bpr_mf.h"
+#include "common/serve_bench.h"
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
@@ -24,42 +23,17 @@ namespace {
 
 using namespace hosr;
 
-const data::Dataset& BenchDataset() {
-  static const data::Dataset* dataset = [] {
-    auto result =
-        data::GenerateSynthetic(data::SyntheticConfig::YelpLike(0.05));
-    HOSR_CHECK(result.ok());
-    return new data::Dataset(std::move(result).value());
-  }();
-  return *dataset;
-}
-
-// Snapshot of an (untrained) BPR model over the bench dataset — parameter
-// values do not affect serving cost, only shapes do.
-const serve::ModelSnapshot& BenchSnapshot() {
-  static const serve::ModelSnapshot* snapshot = [] {
-    const auto& dataset = BenchDataset();
-    models::BprMf::Config config;
-    config.embedding_dim = 10;
-    models::BprMf model(dataset.num_users(), dataset.num_items(), config);
-    auto built = serve::BuildSnapshot(model);
-    HOSR_CHECK(built.ok());
-    return new serve::ModelSnapshot(std::move(built).value());
-  }();
-  return *snapshot;
-}
-
-const serve::InferenceEngine& BenchEngine() {
-  static const serve::InferenceEngine* engine = [] {
-    return new serve::InferenceEngine(BenchSnapshot(),
-                                      &BenchDataset().interactions);
-  }();
-  return *engine;
+// The serving benches' shared fixture: an untrained BPR-MF snapshot over a
+// YelpLike(0.05) dataset — parameter values do not affect serving cost,
+// only shapes do.
+const bench::ServeFixture& Fixture() {
+  static const bench::ServeFixture* fixture = new bench::ServeFixture;
+  return *fixture;
 }
 
 // The acceptance path: single-user top-10 queries, cache disabled.
 void BM_SingleUserTopK(benchmark::State& state) {
-  const auto& engine = BenchEngine();
+  const auto& engine = Fixture().engine;
   const auto k = static_cast<uint32_t>(state.range(0));
   util::Rng rng(state.thread_index() + 1);
   for (auto _ : state) {
@@ -76,28 +50,9 @@ void BM_SingleUserTopK(benchmark::State& state) {
 BENCHMARK(BM_SingleUserTopK)->Arg(10)->Arg(50)->ThreadRange(1, 4)
     ->UseRealTime();
 
-void BM_TopKBatch(benchmark::State& state) {
-  const auto& engine = BenchEngine();
-  const auto batch_size = static_cast<size_t>(state.range(0));
-  util::Rng rng(7);
-  std::vector<uint32_t> users(batch_size);
-  for (auto& u : users) {
-    u = static_cast<uint32_t>(rng.UniformInt(engine.num_users()));
-  }
-  for (auto _ : state) {
-    auto ranked = engine.TopKBatch(users, 10);
-    benchmark::DoNotOptimize(ranked.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch_size));
-}
-// TopKBatch shards across the global thread pool: wall time, not the
-// calling thread's CPU time, is the batch's cost.
-BENCHMARK(BM_TopKBatch)->Arg(16)->Arg(256)->UseRealTime();
-
 // The cached hot path under a skewed (90% repeat) request mix.
 void BM_CachedTopK(benchmark::State& state) {
-  const auto& engine = BenchEngine();
+  const auto& engine = Fixture().engine;
   serve::ResultCache cache;
   util::Rng rng(11);
   for (auto _ : state) {
@@ -114,7 +69,7 @@ void BM_CachedTopK(benchmark::State& state) {
 BENCHMARK(BM_CachedTopK);
 
 void BM_SnapshotSaveLoad(benchmark::State& state) {
-  const auto& snapshot = BenchSnapshot();
+  const auto& snapshot = Fixture().snapshot;
   const std::string path = "/tmp/hosr_bench_snapshot.bin";
   for (auto _ : state) {
     HOSR_CHECK(serve::SaveSnapshot(snapshot, path).ok());
@@ -136,7 +91,7 @@ BENCHMARK(BM_SnapshotSaveLoad);
 // publishes the result as a gauge, so bench_metrics/serve_throughput.json
 // carries the headline QPS for tools/bench_diff comparisons across runs.
 void PublishAcceptanceQps() {
-  const auto& engine = BenchEngine();
+  const auto& engine = Fixture().engine;
   util::Rng rng(1);
   for (int i = 0; i < 1000; ++i) {  // warm caches and page in factors
     benchmark::DoNotOptimize(

@@ -16,6 +16,11 @@ namespace hosr::net {
 // generator (tools/hosr_loadgen.cc), so both replay bit-identical streams
 // and report the same JSON shapes.
 
+// Upper bound on the threads a serving tool starts from one flag: replay
+// clients (hosr_serve --clients), server workers (--workers) and load
+// generator connections (hosr_loadgen --connections).
+inline constexpr uint32_t kMaxToolThreads = 256;
+
 struct StreamRequest {
   uint32_t user;
   uint32_t k;

@@ -1,8 +1,7 @@
 #include "obs/reporter.h"
 
-#include <chrono>
 #include <cstdlib>
-#include <memory>
+#include <mutex>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -19,61 +18,6 @@ util::Status WriteMetricsJson(const std::string& path) {
   return util::WriteFileAtomic(path, Registry::Global().ToJson());
 }
 
-StatsReporter::StatsReporter(Options options) : options_(std::move(options)) {
-  if (options_.interval_seconds > 0.0) {
-    thread_ = std::thread([this] { Loop(); });
-  }
-}
-
-StatsReporter::~StatsReporter() { Stop(); }
-
-void StatsReporter::Snapshot() {
-  // WriteFileAtomic's temp name is path+pid, so two in-process snapshots of
-  // the same path would collide mid-rename without this lock.
-  std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
-  if (!options_.metrics_path.empty()) {
-    if (auto status = WriteMetricsJson(options_.metrics_path); !status.ok()) {
-      HOSR_LOG(Warning) << "metrics snapshot failed: " << status;
-    }
-  }
-  if (options_.log_snapshots) {
-    HOSR_LOG(Info) << "metrics snapshot"
-                   << (options_.metrics_path.empty()
-                           ? ""
-                           : " -> " + options_.metrics_path);
-  }
-}
-
-void StatsReporter::Stop() {
-  // Holding stop_mutex_ across join+flush means a Stop() racing another
-  // Stop() blocks here until the winner's final snapshot is on disk — a
-  // loser returning early would break the shutdown-flush guarantee.
-  std::lock_guard<std::mutex> stop_lock(stop_mutex_);
-  if (stopped_) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  Snapshot();
-  stopped_ = true;
-}
-
-void StatsReporter::Loop() {
-  const auto interval = std::chrono::duration<double>(
-      options_.interval_seconds);
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_requested_) {
-    if (cv_.wait_for(lock, interval, [this] { return stop_requested_; })) {
-      return;  // final snapshot happens in Stop()
-    }
-    lock.unlock();
-    Snapshot();
-    lock.lock();
-  }
-}
-
 namespace {
 
 struct ArtifactConfig {
@@ -81,7 +25,8 @@ struct ArtifactConfig {
   std::string metrics_path;
   std::string profile_path;
   std::string timeseries_path;
-  std::unique_ptr<StatsReporter> interval_reporter;
+  bool started_recorder = false;
+  bool flush_registered = false;
 };
 
 // Leaked so the atexit flush can read it during shutdown.
@@ -93,20 +38,6 @@ ArtifactConfig& Artifacts() {
 std::mutex& ArtifactsMutex() {
   static std::mutex* mutex = new std::mutex;
   return *mutex;
-}
-
-void AtExitFlush() {
-  {
-    // Stop the background reporter before the final dump so the two never
-    // write the metrics file concurrently.
-    std::unique_ptr<StatsReporter> reporter;
-    {
-      std::lock_guard<std::mutex> lock(ArtifactsMutex());
-      reporter = std::move(Artifacts().interval_reporter);
-    }
-    if (reporter != nullptr) reporter->Stop();
-  }
-  FlushArtifacts();
 }
 
 }  // namespace
@@ -130,36 +61,29 @@ void InitFromFlags(const util::Flags& flags) {
 
   const std::string trace_path = flags.GetString("trace_out", "");
   const std::string metrics_path = flags.GetString("metrics_out", "");
-  const double interval = flags.GetDouble("metrics_interval", 0.0);
   const std::string profile_path = flags.GetString("profile_out", "");
   const std::string timeseries_path = flags.GetString("timeseries_out", "");
-  if (trace_path.empty() && metrics_path.empty() && profile_path.empty() &&
-      timeseries_path.empty()) {
-    return;
-  }
+  const bool any_output = !trace_path.empty() || !metrics_path.empty() ||
+                          !profile_path.empty() || !timeseries_path.empty();
+  // /timeseriez needs windowed history whether or not --timeseries_out was
+  // passed.
+  const bool want_recorder =
+      !timeseries_path.empty() || flags.GetInt("admin_port", -1) >= 0;
+  if (!any_output && !want_recorder) return;
 
-  SetEnabled(true);
-  bool register_atexit = false;
+  if (any_output) SetEnabled(true);
+  bool register_flush = false;
   {
     std::lock_guard<std::mutex> lock(ArtifactsMutex());
     ArtifactConfig& config = Artifacts();
-    register_atexit = config.trace_path.empty() &&
-                      config.metrics_path.empty() &&
-                      config.profile_path.empty() &&
-                      config.timeseries_path.empty();
+    register_flush = !config.flush_registered;
+    config.flush_registered = true;
     if (!trace_path.empty()) config.trace_path = trace_path;
     if (!metrics_path.empty()) config.metrics_path = metrics_path;
     if (!profile_path.empty()) config.profile_path = profile_path;
     if (!timeseries_path.empty()) config.timeseries_path = timeseries_path;
-    if (interval > 0.0 && !metrics_path.empty() &&
-        config.interval_reporter == nullptr) {
-      StatsReporter::Options options;
-      options.interval_seconds = interval;
-      options.metrics_path = metrics_path;
-      config.interval_reporter = std::make_unique<StatsReporter>(options);
-    }
   }
-  if (register_atexit) std::atexit(AtExitFlush);
+  if (register_flush) std::atexit(FlushArtifacts);
 
   if (!profile_path.empty()) {
     Profiler::Options options;
@@ -169,70 +93,74 @@ void InitFromFlags(const util::Flags& flags) {
                         << status;
     }
   }
-  if (!timeseries_path.empty() && !TimeseriesRecorder::Global().running()) {
+  if (want_recorder && !TimeseriesRecorder::Global().running()) {
     TimeseriesRecorder::Options options;
     options.snapshot_interval_s =
         flags.GetDouble("timeseries_interval", 1.0);
+    options.metrics_path = metrics_path;
     if (auto status = TimeseriesRecorder::Global().Start(options);
-        !status.ok()) {
-      HOSR_LOG(Warning) << "could not start --timeseries_out recorder: "
+        status.ok()) {
+      std::lock_guard<std::mutex> lock(ArtifactsMutex());
+      Artifacts().started_recorder = true;
+    } else {
+      HOSR_LOG(Warning) << "could not start the timeseries recorder: "
                         << status;
     }
   }
 }
 
 void FlushArtifacts() {
-  std::string trace_path, metrics_path, profile_path, timeseries_path;
-  {
+  const ArtifactConfig config = [] {
     std::lock_guard<std::mutex> lock(ArtifactsMutex());
-    trace_path = Artifacts().trace_path;
-    metrics_path = Artifacts().metrics_path;
-    profile_path = Artifacts().profile_path;
-    timeseries_path = Artifacts().timeseries_path;
-  }
+    return Artifacts();
+  }();
   // Profiler first: stopping it is what finalizes the sample set, and only
   // a running session writes — a second flush (explicit + atexit) must not
   // overwrite the artifact with an empty re-collection.
-  if (!profile_path.empty() && Profiler::Global().running()) {
+  if (!config.profile_path.empty() && Profiler::Global().running()) {
     const Profile profile = Profiler::Global().StopAndCollect();
-    if (auto status = util::WriteFileAtomic(profile_path, profile.collapsed);
+    if (auto status =
+            util::WriteFileAtomic(config.profile_path, profile.collapsed);
         status.ok()) {
-      HOSR_LOG(Info) << "wrote collapsed stacks to " << profile_path << " ("
-                     << profile.samples << " samples)";
+      HOSR_LOG(Info) << "wrote collapsed stacks to " << config.profile_path
+                     << " (" << profile.samples << " samples)";
     } else {
       HOSR_LOG(Warning) << "profile dump failed: " << status;
     }
-    const std::string summary_path = profile_path + ".summary.json";
+    const std::string summary_path = config.profile_path + ".summary.json";
     if (auto status =
             util::WriteFileAtomic(summary_path, profile.SummaryJson());
         !status.ok()) {
       HOSR_LOG(Warning) << "profile summary dump failed: " << status;
     }
   }
-  if (!timeseries_path.empty()) {
-    TimeseriesRecorder::Global().Stop();  // final snapshot; idempotent
+  // Stopping the recorder joins its thread and takes the final snapshot
+  // (which also rewrites --metrics_out), so nothing below races a tick.
+  if (config.started_recorder) TimeseriesRecorder::Global().Stop();
+  if (!config.timeseries_path.empty()) {
     if (auto status = TimeseriesRecorder::Global().DumpToFile(
-            timeseries_path);
+            config.timeseries_path);
         status.ok()) {
-      HOSR_LOG(Info) << "wrote timeseries history to " << timeseries_path;
+      HOSR_LOG(Info) << "wrote timeseries history to "
+                     << config.timeseries_path;
     } else {
       HOSR_LOG(Warning) << "timeseries dump failed: " << status;
     }
   }
-  if (!metrics_path.empty()) {
-    if (auto status = WriteMetricsJson(metrics_path); status.ok()) {
-      HOSR_LOG(Info) << "wrote metrics to " << metrics_path;
+  if (!config.metrics_path.empty()) {
+    if (auto status = WriteMetricsJson(config.metrics_path); status.ok()) {
+      HOSR_LOG(Info) << "wrote metrics to " << config.metrics_path;
     } else {
       HOSR_LOG(Warning) << "metrics dump failed: " << status;
     }
   }
-  if (!trace_path.empty()) {
+  if (!config.trace_path.empty()) {
     if (const uint64_t dropped = DroppedSpanCount(); dropped > 0) {
       HOSR_LOG(Warning) << "trace ring buffers dropped " << dropped
                         << " spans (oldest-first)";
     }
-    if (auto status = WriteTraceJson(trace_path); status.ok()) {
-      HOSR_LOG(Info) << "wrote trace to " << trace_path
+    if (auto status = WriteTraceJson(config.trace_path); status.ok()) {
+      HOSR_LOG(Info) << "wrote trace to " << config.trace_path
                      << " (open in chrome://tracing or ui.perfetto.dev)";
     } else {
       HOSR_LOG(Warning) << "trace dump failed: " << status;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/reporter.h"
 #include "obs/trace.h"
 #include "util/fileio.h"
 #include "util/logging.h"
@@ -79,9 +80,9 @@ void AppendJsonNumber(double value, std::string* out) {
   out->append(util::StrFormat("%.17g", value));
 }
 
-// One snapshot pass: visit the registry, compute per-metric window points,
-// evict beyond capacity. Runs on the recorder thread (or a test caller).
-void SnapshotOnce(RecorderState* state) {
+// Visits the registry, computes per-metric window points, evicts beyond
+// capacity. Returns the options' metrics_path, read under the same lock.
+std::string RecordWindows(RecorderState* state) {
   std::lock_guard<std::mutex> lock(state->mutex);
   const int64_t now_ns = NowNanos();
   const double interval_s =
@@ -161,6 +162,18 @@ void SnapshotOnce(RecorderState* state) {
         series.prev_buckets = std::move(buckets);
         push(&series, point);
       });
+  return state->options.metrics_path;
+}
+
+// One snapshot pass: record the windows, then rewrite `metrics_path`. Runs
+// on the recorder thread (or a test caller). The file write needs no lock:
+// atomic writes of one path never share a temp file.
+void SnapshotOnce(RecorderState* state) {
+  const std::string metrics_path = RecordWindows(state);
+  if (metrics_path.empty()) return;
+  if (auto status = WriteMetricsJson(metrics_path); !status.ok()) {
+    HOSR_LOG(Warning) << "metrics snapshot failed: " << status;
+  }
 }
 
 void RecorderLoop(RecorderState* state) {

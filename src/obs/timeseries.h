@@ -22,6 +22,9 @@ namespace hosr::obs {
 //                 estimated from the window's bucket-count deltas via the
 //                 shared QuantileFromBuckets helper
 //
+// This is the one thread that reads the registry on a cadence; it also
+// keeps --metrics_out current (Options::metrics_path).
+//
 // The recorder reads the registry through its lock-free metric accessors
 // (one relaxed load per atomic), so recording adds nothing to the hot
 // paths being measured. Memory is bounded: window_capacity points per
@@ -31,6 +34,10 @@ class TimeseriesRecorder {
   struct Options {
     double snapshot_interval_s = 1.0;
     size_t window_capacity = 300;  // e.g. 5 minutes of 1s windows
+    // When set, every snapshot (the final one in Stop() included) also
+    // rewrites this file through WriteMetricsJson, so the on-disk registry
+    // dump is never more than one interval old.
+    std::string metrics_path;
   };
 
   static TimeseriesRecorder& Global();
@@ -39,7 +46,10 @@ class TimeseriesRecorder {
   util::Status Start(const Options& options);
 
   // Stops and joins the recorder, taking one final snapshot so updates made
-  // just before shutdown land in the history (idempotent).
+  // just before shutdown land in the history and in `metrics_path`.
+  // Idempotent and safe to call concurrently: every caller returns only
+  // after that final snapshot is done, so metric updates made before any
+  // Stop() call are on disk when it returns.
   void Stop();
 
   bool running() const;

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hosr::serve {
@@ -87,7 +86,9 @@ util::StatusOr<RankedItems> InferenceEngine::TopKImpl(
   scratch.resize(options_.item_block);
   const kernels::KernelTable& kern = kernels::Active();
   HOSR_COUNTER("kernels/score_flops").Increment(2ull * m * d);
-  eval::TopKAccumulator acc(k);
+  // A k past the catalogue ranks every item either way; clamping keeps the
+  // heap's up-front reservation O(items) for any k a client sends.
+  eval::TopKAccumulator acc(std::min(k, m));
   auto excluded_it = excluded.begin();
   for (uint32_t j0 = 0; j0 < m; j0 += options_.item_block) {
     // One deadline read per block bounds overrun to a single block of
@@ -127,26 +128,6 @@ const std::vector<uint32_t>& InferenceEngine::SeenItems(uint32_t user) const {
   HOSR_CHECK(user < num_users());
   if (seen_.empty()) return kNoExclusions;
   return seen_[user];
-}
-
-std::vector<std::vector<uint32_t>> InferenceEngine::TopKBatch(
-    const std::vector<uint32_t>& users, uint32_t k) const {
-  HOSR_TRACE_SPAN("serve/topk_batch");
-  std::vector<std::vector<uint32_t>> results(users.size());
-  const size_t users_per_chunk =
-      options_.min_users_per_chunk > 0
-          ? options_.min_users_per_chunk
-          : util::GrainFor(static_cast<size_t>(num_items()) * dim());
-  util::ParallelFor(
-      0, users.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          results[i] = TopKForUser(users[i], k);
-        }
-      },
-      users_per_chunk);
-  HOSR_HISTOGRAM("serve/batch_size").Observe(static_cast<double>(users.size()));
-  return results;
 }
 
 std::vector<float> InferenceEngine::ScoreAll(uint32_t user) const {

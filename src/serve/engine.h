@@ -24,18 +24,13 @@ struct EngineOptions {
   // Items are scored in blocks of this many rows so the per-query score
   // scratch stays cache-resident even for catalogs in the millions.
   uint32_t item_block = 2048;
-  // Minimum users per thread-pool chunk in TopKBatch. 0 (the default)
-  // sizes the chunk with util::GrainFor from the per-user scoring work
-  // (num_items * dim); set explicitly to override the heuristic.
-  size_t min_users_per_chunk = 0;
 };
 
 // Answers top-K queries over a frozen ModelSnapshot: a blocked GEMV over
 // the item-factor matrix feeds an eval::TopKAccumulator (the evaluator's
 // selection, so offline and served rankings agree exactly), with the
 // user's already-consumed training items filtered out. Stateless per query
-// and safe to call from any number of threads concurrently; TopKBatch
-// additionally shards a batch across util::ThreadPool::Global().
+// and safe to call from any number of threads concurrently.
 class InferenceEngine {
  public:
   // `seen` (optional) supplies per-user items to exclude from results —
@@ -66,10 +61,6 @@ class InferenceEngine {
   util::StatusOr<RankedItems> TryTopKForUser(
       uint32_t user, uint32_t k, Deadline deadline = kNoDeadline,
       uint64_t fault_token = kNoFaultToken) const;
-
-  // One ranked list per user, sharded across the global thread pool.
-  std::vector<std::vector<uint32_t>> TopKBatch(
-      const std::vector<uint32_t>& users, uint32_t k) const;
 
   // The per-user exclusion list (empty when the engine was built without
   // seen-item filtering). Sorted ascending; used by DegradedRanker.

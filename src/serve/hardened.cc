@@ -14,11 +14,6 @@ namespace hosr::serve {
 
 namespace {
 
-// Attempt tokens must be distinct per (request, attempt) so each attempt's
-// fault draw is independent; 16 attempts per request is far above any sane
-// retry cap.
-constexpr uint64_t kMaxAttemptsPerRequest = 16;
-
 uint64_t MixSeed(uint64_t seed, uint64_t token) {
   uint64_t x = seed ^ (token * 0x9e3779b97f4a7c15ULL);
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

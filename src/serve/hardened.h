@@ -19,6 +19,11 @@ struct ServeResponse {
   bool from_cache = false;
 };
 
+// Attempt tokens must be distinct per (request, attempt) so each attempt's
+// fault draw is independent; retry.max_attempts must stay below this (16
+// attempts per request is far above any sane retry cap).
+inline constexpr uint32_t kMaxAttemptsPerRequest = 16;
+
 struct HardenedOptions {
   RetryPolicy::Options retry;
   // Per-request latency budget in milliseconds; 0 disables deadlines.

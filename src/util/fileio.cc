@@ -1,5 +1,7 @@
 #include "util/fileio.h"
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -23,11 +25,19 @@ int ProcessId() {
 #endif
 }
 
+// `<path>.tmp.<pid>.<n>`: the counter keeps two threads of one process that
+// write the same path off each other's temp file.
+std::string TempPathFor(const std::string& path) {
+  static std::atomic<uint64_t> next{0};
+  return path + ".tmp." + std::to_string(ProcessId()) + "." +
+         std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+}
+
 }  // namespace
 
 AtomicWriteFile::AtomicWriteFile(std::string path, std::ios::openmode mode)
     : path_(std::move(path)),
-      tmp_path_(path_ + ".tmp." + std::to_string(ProcessId())) {
+      tmp_path_(TempPathFor(path_)) {
   out_.open(tmp_path_, mode | std::ios::trunc);
   if (!out_) {
     status_ = Status::IoError("cannot open for writing: " + tmp_path_);

@@ -9,10 +9,13 @@
 
 namespace hosr::util {
 
-// Crash-safe file writer: streams into `<path>.tmp.<pid>` and renames onto
-// `path` only in Commit(), so readers never observe a torn file — they see
-// either the previous complete artifact or the new one. A destructor without
-// Commit() (early return, exception, injected fault) removes the temp file.
+// Crash-safe file writer: streams into `<path>.tmp.<pid>.<n>` (n is a
+// per-process counter) and renames onto `path` only in Commit(), so readers
+// never observe a torn file — they see either the previous complete artifact
+// or the new one. Concurrent writers of one path, in one process or many,
+// never share a temp file, so they need no lock: the last rename wins. A
+// destructor without Commit() (early return, exception, injected fault)
+// removes the temp file.
 //
 //   AtomicWriteFile file(path);
 //   HOSR_RETURN_IF_ERROR(file.status());

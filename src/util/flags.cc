@@ -69,16 +69,18 @@ double Flags::GetDouble(std::string_view name, double default_value) const {
 }
 
 StatusOr<uint32_t> Flags::GetUint32(std::string_view name,
-                                    uint32_t default_value) const {
+                                    uint32_t default_value,
+                                    uint32_t min_value,
+                                    uint32_t max_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   const auto parsed = ParseInt(it->second);
-  if (!parsed.ok() || parsed.value() < 0 ||
-      parsed.value() > std::numeric_limits<uint32_t>::max()) {
+  if (!parsed.ok() || parsed.value() < min_value ||
+      parsed.value() > max_value) {
     return Status::InvalidArgument(
-        StrFormat("flag --%s: \"%s\" is not an integer in [0, %u]",
-                  std::string(name).c_str(), it->second.c_str(),
-                  std::numeric_limits<uint32_t>::max()));
+        StrFormat("flag --%s: \"%s\" is not an integer in [%u, %u]",
+                  std::string(name).c_str(), it->second.c_str(), min_value,
+                  max_value));
   }
   return static_cast<uint32_t>(parsed.value());
 }

@@ -1,6 +1,7 @@
 #ifndef HOSR_UTIL_FLAGS_H_
 #define HOSR_UTIL_FLAGS_H_
 
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -30,11 +31,12 @@ class Flags {
   double GetDouble(std::string_view name, double default_value) const;
   bool GetBool(std::string_view name, bool default_value) const;
 
-  // A count that must fit uint32_t: `default_value` when absent, and an
-  // InvalidArgument naming the flag when the value is malformed, negative
-  // or too large (never silently wrapped or defaulted).
-  StatusOr<uint32_t> GetUint32(std::string_view name,
-                               uint32_t default_value) const;
+  // A count in [min_value, max_value]: `default_value` when absent, and an
+  // InvalidArgument naming the flag when the value is malformed or out of
+  // range (never silently wrapped, clamped or defaulted).
+  StatusOr<uint32_t> GetUint32(
+      std::string_view name, uint32_t default_value, uint32_t min_value = 0,
+      uint32_t max_value = std::numeric_limits<uint32_t>::max()) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -4,7 +4,8 @@
 #      written to --port_file), replay 1.5k requests from a separate
 #      hosr_loadgen process with --verify_snapshot/--verify_data, and
 #      assert every answer is bit-identical to a local InferenceEngine
-#      (verify_failures == 0) with zero wire-level failures;
+#      (verify_failures == 0) with zero wire-level failures, and that a
+#      negative --connections exits non-zero;
 #   2. graceful drain: restart the server, SIGTERM it mid-replay, and
 #      assert the server answered every request it read (requests ==
 #      responses in the server summary — the zero-dropped-in-flight
@@ -51,6 +52,14 @@ wait_for_port "$WORK/port1"
   --num_requests=1500 --k=10 --zipf=0.9 --seed=5 --connections=4 \
   --verify_snapshot="$WORK/snap" --verify_data="$WORK/data" \
   --summary_out="$WORK/loadgen1.json" > /dev/null
+
+# A negative connection count is a clean error, never a wrapped SIZE_MAX.
+# One request keeps even a wrapped count down to one connection.
+if "$LOADGEN" --port="$(cat "$WORK/port1")" --num_requests=1 \
+    --connections=-1 > "$WORK/bad_connections.log" 2>&1; then
+  echo "FAIL: hosr_loadgen accepted --connections=-1" >&2
+  exit 1
+fi
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"

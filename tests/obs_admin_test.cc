@@ -1,7 +1,7 @@
 // hosr::obs v2 surfaces: metric-name validation, histogram exemplars,
 // request contexts, the live admin endpoint (transport-free and over real
 // loopback sockets), the flight recorder's CRC-verified dumps, and the
-// StatsReporter shutdown-flush guarantee.
+// timeseries recorder's shutdown-flush guarantee for its metrics file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +15,9 @@
 #include "obs/context.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "temp_path_test_util.h"
 #include "util/fileio.h"
 #include "util/string_util.h"
 
@@ -43,7 +44,7 @@ class ObsAdminTest : public ::testing::Test {
   }
 
   std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "hosr_obs_admin_" + name;
+    return test_util::TempPath("hosr_obs_admin_" + name);
   }
 };
 
@@ -420,59 +421,38 @@ TEST_F(ObsAdminTest, DeadlineBurstTriggersExactlyOneDump) {
   std::remove(recorder.last_dump_path().c_str());
 }
 
-// --- StatsReporter shutdown flush --------------------------------------------
+// --- Recorder shutdown flush ------------------------------------------------
 
 TEST_F(ObsAdminTest, ConcurrentStopsAllObserveTheFinalFlush) {
-  // The documented guarantee: updates made before Stop() is invoked are on
-  // disk once ANY Stop() call returns — even when several race.
-  const std::string path = TempPath("reporter.json");
-  Gauge* gauge = Registry::Global().GetGauge("test/reporter_gauge");
-  {
-    StatsReporter::Options options;
-    options.interval_seconds = 3600.0;  // thread parked; shutdown flushes
-    options.metrics_path = path;
-    StatsReporter reporter(options);
-    gauge->Set(424242.0);
-    std::vector<std::thread> stoppers;
-    std::atomic<int> returned{0};
-    for (int t = 0; t < 4; ++t) {
-      stoppers.emplace_back([&] {
-        reporter.Stop();
-        // The artifact must already hold the final value the moment any
-        // Stop() returns, not just after the destructor.
-        auto content = util::ReadFileToString(path);
-        if (content.ok() &&
-            content->find("424242") != std::string::npos) {
-          ++returned;
-        }
-      });
-    }
-    for (auto& thread : stoppers) thread.join();
-    EXPECT_EQ(returned.load(), 4);
+  // The documented guarantee: updates made before Stop() is invoked are in
+  // the recorder's metrics file once ANY Stop() call returns — even when
+  // several race.
+  const std::string path = TempPath("recorder_metrics.json");
+  Gauge* gauge = Registry::Global().GetGauge("test/recorder_gauge");
+  TimeseriesRecorder& recorder = TimeseriesRecorder::Global();
+  TimeseriesRecorder::Options options;
+  options.snapshot_interval_s = 3600.0;  // thread parked; shutdown flushes
+  options.metrics_path = path;
+  ASSERT_TRUE(recorder.Start(options).ok());
+  gauge->Set(424242.0);
+  std::vector<std::thread> stoppers;
+  std::atomic<int> returned{0};
+  for (int t = 0; t < 4; ++t) {
+    stoppers.emplace_back([&] {
+      recorder.Stop();
+      // The artifact must already hold the final value the moment any
+      // Stop() returns.
+      auto content = util::ReadFileToString(path);
+      if (content.ok() && content->find("424242") != std::string::npos) {
+        ++returned;
+      }
+    });
   }
+  for (auto& thread : stoppers) thread.join();
+  EXPECT_EQ(returned.load(), 4);
   auto content = util::ReadFileToString(path);
   ASSERT_TRUE(content.ok());
   EXPECT_TRUE(IsValidJson(*content)) << *content;
-  std::remove(path.c_str());
-}
-
-TEST_F(ObsAdminTest, EpochModeSnapshotsOnDemandAndOnStop) {
-  const std::string path = TempPath("epoch_reporter.json");
-  StatsReporter::Options options;
-  options.metrics_path = path;  // interval 0: no thread
-  StatsReporter reporter(options);
-  Registry::Global().GetCounter("test/epoch_counter")->Increment(3);
-  reporter.Snapshot();
-  auto mid = util::ReadFileToString(path);
-  ASSERT_TRUE(mid.ok());
-  EXPECT_NE(mid->find("test/epoch_counter"), std::string::npos);
-  Registry::Global().GetCounter("test/epoch_counter")->Increment(4);
-  reporter.Stop();
-  auto final_content = util::ReadFileToString(path);
-  ASSERT_TRUE(final_content.ok());
-  EXPECT_NE(
-      final_content->find("{\"type\": \"counter\", \"value\": 7}"),
-      std::string::npos);
   std::remove(path.c_str());
 }
 

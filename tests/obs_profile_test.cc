@@ -4,11 +4,11 @@
 // fields, the SIGPROF sampling profiler (including the no-allocation
 // contract of the signal handler, asserted through a global operator-new
 // guard), the timeseries recorder's windowed counter/gauge/histogram
-// points, the StatsReporter interval mode racing concurrent metric
+// points, the recorder's metrics-file snapshots racing concurrent metric
 // registration, and the /profilez + /timeseriez admin endpoints.
 //
 // This suite is part of the TSan build matrix (DESIGN.md "Build matrix"):
-// the recorder/reporter races run fully instrumented there, while the
+// the recorder races run fully instrumented there, while the
 // SIGPROF-driven tests skip themselves (sanitizer runtimes flag `backtrace`
 // in a signal handler as signal-unsafe even though glibc's is fine after
 // the warm-up call).
@@ -28,7 +28,6 @@
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/reporter.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "util/fileio.h"
@@ -415,17 +414,19 @@ TEST(TimeseriesTest, StartStopCycleDumpsCrcArtifact) {
   recorder.Stop();
 }
 
-// --- StatsReporter interval mode vs concurrent registration ---------------
+// --- Recorder snapshots vs concurrent registration --------------------------
 
-TEST(StatsReporterRaceTest, IntervalSnapshotsRaceRegistration) {
+TEST(TimeseriesRaceTest, MetricsFileSnapshotsRaceRegistration) {
   obs::Registry::Global().ResetForTesting();
-  const std::string path = ::testing::TempDir() + "/reporter_race.json";
-  obs::StatsReporter::Options options;
-  options.interval_seconds = 0.005;  // snapshot as hot as possible
+  obs::TimeseriesRecorder::Global().ResetForTesting();
+  const std::string path = ::testing::TempDir() + "/recorder_race.json";
+  obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
+  obs::TimeseriesRecorder::Options options;
+  options.snapshot_interval_s = 0.005;  // snapshot as hot as possible
   options.metrics_path = path;
-  obs::StatsReporter reporter(options);
+  ASSERT_TRUE(recorder.Start(options).ok());
   // Registration storm: new names force map inserts under the registry
-  // mutex while the reporter thread iterates it for every snapshot. TSan
+  // mutex while the recorder thread iterates it for every snapshot. TSan
   // (DESIGN.md build matrix) verifies the locking discipline here.
   constexpr int kWorkers = 4;
   constexpr int kNamesPerWorker = 64;
@@ -444,7 +445,7 @@ TEST(StatsReporterRaceTest, IntervalSnapshotsRaceRegistration) {
     });
   }
   for (auto& t : workers) t.join();
-  reporter.Stop();
+  recorder.Stop();
   // Post-Stop artifact must hold every registration (shutdown-flush
   // guarantee) and still be well-formed JSON.
   const auto contents = util::ReadFileToString(path);

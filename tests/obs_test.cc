@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/trace.h"
 #include "json_validator_test_util.h"
 #include "util/thread_pool.h"

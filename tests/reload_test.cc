@@ -23,14 +23,14 @@
 #include "serve/overload.h"
 #include "serve/reload.h"
 #include "serve/snapshot.h"
+#include "temp_path_test_util.h"
 #include "util/status.h"
 
 namespace hosr::serve {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("hosr_reload_" + name))
-      .string();
+  return test_util::TempPath("hosr_reload_" + name);
 }
 
 std::string ReadRaw(const std::string& path) {

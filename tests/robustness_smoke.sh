@@ -4,7 +4,9 @@
 #   1. generate a tiny synthetic YelpLike dataset;
 #   2. train with --train_state and an injected crash (cli.train_crash:once=2)
 #      — the process must die with exit code 42 after epoch 2's state is on
-#      disk;
+#      disk, and its --metrics_out must already show trainer/epochs = 2
+#      (_Exit skips the atexit flush, so only the per-epoch write can have
+#      produced that file);
 #   3. resume with --resume and finish training + export a snapshot;
 #   4. train the same config straight through in a second directory and
 #      assert the resumed snapshot is BYTE-IDENTICAL to the uninterrupted
@@ -35,7 +37,7 @@ trap 'rm -rf "$WORK"' EXIT
 set +e
 "$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR --epochs=4 \
   --train_state="$WORK/state" --fault_spec=cli.train_crash:once=2 \
-  > "$WORK/crash_run.log" 2>&1
+  --metrics_out="$WORK/crash_metrics.json" > "$WORK/crash_run.log" 2>&1
 CRASH_EXIT=$?
 set -e
 if [ "$CRASH_EXIT" -ne 42 ]; then
@@ -44,6 +46,13 @@ if [ "$CRASH_EXIT" -ne 42 ]; then
   exit 1
 fi
 test -s "$WORK/state" || { echo "FAIL: no training state on disk" >&2; exit 1; }
+python3 - "$WORK/crash_metrics.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    epochs = json.load(f)["metrics"]["trainer/epochs"]["value"]
+assert epochs == 2, f"per-epoch metrics file shows {epochs} epochs, want 2"
+EOF
 
 "$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR --epochs=4 \
   --train_state="$WORK/state" --resume --snapshot_out="$WORK/snap_resumed" \

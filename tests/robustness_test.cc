@@ -28,6 +28,7 @@
 #include "serve/hardened.h"
 #include "serve/retry.h"
 #include "serve/snapshot.h"
+#include "temp_path_test_util.h"
 #include "util/fileio.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -36,9 +37,7 @@
 namespace hosr {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test_util::TempPath;
 
 std::string ReadRaw(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

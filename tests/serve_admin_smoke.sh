@@ -4,9 +4,12 @@
 #   2. serve a replay with --admin_port=0 and probe every admin endpoint
 #      over a real socket while the process is alive — including POST
 #      /reloadz, which hot-swaps the replay's snapshot to version 2,
-#   3. after exit, assert the latency histogram carries exemplar trace ids
+#   3. while the process lingers, assert the timeseries recorder (started by
+#      --admin_port) keeps --metrics_out current: the file must already
+#      parse and show the replay's final gauges before exit,
+#   4. after exit, assert the latency histogram carries exemplar trace ids
 #      that resolve against the trace artifact (same data /tracez serves),
-#   4. rerun with an injected engine fault + --flight_dir and verify the
+#   5. rerun with an injected engine fault + --flight_dir and verify the
 #      flight dump's CRC footer and JSON body.
 #
 # Usage: serve_admin_smoke.sh <hosr_cli binary> <hosr_serve binary>
@@ -97,7 +100,31 @@ json.loads(body)  # 404 body is the machine-readable endpoint list
 print("serve_admin_smoke: live endpoints OK on port %d" % port)
 EOF
 
-kill -0 "$SERVE_PID" 2>/dev/null || true
+# --- the recorder keeps --metrics_out current before exit ----------------------
+
+python3 - "$WORK/metrics.json" <<'EOF'
+import json, sys, time
+
+# Recorder ticks run every second; the replay's summary gauges land in the
+# registry once the replay ends, a few ticks into the 20 s linger.
+deadline = time.time() + 10
+while True:
+    try:
+        with open(sys.argv[1]) as f:
+            metrics = json.load(f)["metrics"]
+        if "serve/replay_qps" in metrics:
+            break
+    except (OSError, ValueError):
+        pass  # not written yet
+    assert time.time() < deadline, "no current --metrics_out during linger"
+    time.sleep(0.2)
+print("serve_admin_smoke: --metrics_out current during linger")
+EOF
+kill -0 "$SERVE_PID" 2>/dev/null || {
+  echo "FAIL: hosr_serve exited before the linger check finished" >&2
+  exit 1
+}
+
 wait "$SERVE_PID" || {
   echo "FAIL: hosr_serve exited nonzero" >&2
   cat "$WORK/serve.log" >&2

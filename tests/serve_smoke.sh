@@ -3,7 +3,8 @@
 #   1. generate a tiny synthetic YelpLike dataset,
 #   2. train BPR for 2 epochs and export a serving snapshot,
 #   3. replay 1k skewed requests through hosr_serve,
-#   4. assert nonzero cache hits and valid JSON metrics + summary output.
+#   4. assert nonzero cache hits and valid JSON metrics + summary output,
+#   5. assert a negative --clients exits non-zero.
 #
 # Usage: serve_smoke.sh <hosr_cli binary> <hosr_serve binary>
 set -eu
@@ -22,6 +23,14 @@ test -s "$WORK/snap" || { echo "FAIL: snapshot not written" >&2; exit 1; }
 "$SERVE" --snapshot="$WORK/snap" --data="$WORK/data" \
   --num_requests=1000 --k=10 --zipf=0.9 --seed=5 \
   --metrics_out="$WORK/metrics.json" --summary_out="$WORK/summary.json"
+
+# A negative thread count is a clean error, never a wrapped SIZE_MAX. One
+# request keeps even a wrapped count down to one replay thread.
+if "$SERVE" --snapshot="$WORK/snap" --num_requests=1 --clients=-1 \
+    > "$WORK/bad_clients.log" 2>&1; then
+  echo "FAIL: hosr_serve accepted --clients=-1" >&2
+  exit 1
+fi
 
 python3 - "$WORK/summary.json" "$WORK/metrics.json" <<'EOF'
 import json, sys

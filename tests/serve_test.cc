@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <future>
 #include <numeric>
@@ -20,6 +19,7 @@
 #include "serve/cache.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
+#include "temp_path_test_util.h"
 #include "util/fileio.h"
 #include "util/random.h"
 
@@ -52,9 +52,7 @@ std::unique_ptr<models::RankingModel> MakeTestModel(const std::string& name) {
   return std::move(model).value();
 }
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test_util::TempPath;
 
 // --- eval::TopK helper -------------------------------------------------------
 
@@ -276,6 +274,13 @@ TEST(EngineTest, SeenItemsAreFiltered) {
       EXPECT_FALSE(train.Contains(u, item)) << "user " << u;
     }
   }
+  // A k past the catalogue ranks every unseen item. A client may send any
+  // k; the engine's heap must not reserve 2^31 entries (16 GiB) for it.
+  const auto all = engine.TopKForUser(7, engine.num_items());
+  EXPECT_EQ(all.size(), engine.num_items() - train.ItemsOf(7).size());
+  auto huge = engine.TryTopKForUser(7, 1u << 31);
+  ASSERT_TRUE(huge.ok()) << huge.status();
+  EXPECT_EQ(*huge, all);
 }
 
 TEST(EngineTest, TinyItemBlocksMatchDefault) {
@@ -292,20 +297,6 @@ TEST(EngineTest, TinyItemBlocksMatchDefault) {
                                 &TestDataset().interactions, tiny);
   for (const uint32_t u : {0u, 11u, 42u}) {
     EXPECT_EQ(blocked.TopKForUser(u, 15), reference.TopKForUser(u, 15));
-  }
-}
-
-TEST(EngineTest, BatchMatchesSingleQueries) {
-  auto model = MakeTestModel("HOSR");
-  auto snapshot = BuildSnapshot(*model);
-  ASSERT_TRUE(snapshot.ok());
-  const InferenceEngine engine(std::move(snapshot).value(),
-                               &TestDataset().interactions);
-  std::vector<uint32_t> users{4, 4, 19, 60, 88, 0};
-  const auto batched = engine.TopKBatch(users, 10);
-  ASSERT_EQ(batched.size(), users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    EXPECT_EQ(batched[i], engine.TopKForUser(users[i], 10));
   }
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -24,6 +23,7 @@
 #include "kernels/kernels.h"
 #include "models/trainer.h"
 #include "optim/optimizer.h"
+#include "temp_path_test_util.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -32,9 +32,7 @@
 namespace hosr {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test_util::TempPath;
 
 std::string ReadRaw(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -8,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "util/fileio.h"
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -339,16 +343,26 @@ TEST(FlagsTest, GetIntRoundTripsNegativeValues) {
 TEST(FlagsTest, GetUint32RejectsNegativeOutOfRangeAndMalformed) {
   const Flags f = ParseArgs({"--threads=-1", "--epochs=4294967296",
                              "--batch=xyz", "--slice=4294967295",
-                             "--zero=0"});
+                             "--zero=0", "--workers=256", "--clients=257"});
   EXPECT_EQ(f.GetUint32("missing", 9).value(), 9u);
+  EXPECT_EQ(f.GetUint32("missing", 0, 1, 8).value(), 0u)
+      << "an absent flag yields the default unchecked";
   EXPECT_EQ(f.GetUint32("zero", 9).value(), 0u);
   EXPECT_EQ(f.GetUint32("slice", 9).value(), 4294967295u);
+  EXPECT_EQ(f.GetUint32("workers", 4, 1, 256).value(), 256u);
   for (const char* name : {"threads", "epochs", "batch"}) {
     const auto parsed = f.GetUint32(name, 1);
     ASSERT_FALSE(parsed.ok()) << name;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(parsed.status().message().find(name), std::string::npos)
         << "the error must name the flag";
+  }
+  // Caller bounds: below the minimum or above the maximum is out of range.
+  for (const char* name : {"zero", "clients"}) {
+    const auto parsed = f.GetUint32(name, 1, 1, 256);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_NE(parsed.status().message().find("[1, 256]"), std::string::npos)
+        << parsed.status().message();
   }
 }
 
@@ -483,6 +497,43 @@ TEST(GrainForTest, MinGrainIsHonored) {
   EXPECT_EQ(GrainFor(64, /*min_grain=*/16), kGrainTargetWork / 64);
   // min_grain of 0 is floored to 1 (a 0 chunk would be a ParallelFor bug).
   EXPECT_GE(GrainFor(1u << 20, /*min_grain=*/0), 1u);
+}
+
+// --- Atomic file writes ---------------------------------------------------
+
+TEST(AtomicWriteFileTest, ConcurrentWritersOfOnePathNeedNoLock) {
+  // Threads of one process writing the same path must not share a temp
+  // file: every Commit succeeds and the survivor is one whole payload.
+  const std::string path = ::testing::TempDir() + "/hosr_atomic_race.txt";
+  constexpr int kThreads = 8;
+  constexpr int kWritesPerThread = 50;
+  std::vector<std::string> payloads;
+  for (int t = 0; t < kThreads; ++t) {
+    payloads.push_back(std::string(4096, static_cast<char>('a' + t)));
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kWritesPerThread; ++i) {
+        if (!WriteFileAtomic(path, payloads[t]).ok()) ++failures;
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  const auto contents = ReadFileToString(path);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_NE(std::find(payloads.begin(), payloads.end(), *contents),
+            payloads.end());
+  const std::filesystem::path target(path);
+  const std::string temp_prefix = target.filename().string() + ".tmp.";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
+        << "leftover temp file " << entry.path();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

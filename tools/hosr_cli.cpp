@@ -9,7 +9,8 @@
 //             [--train_threads=N] [--train_slice=N] [--sparse_steps]
 //             [--admin_port=N]  live /metricsz, /healthz, /varz, /profilez,
 //                               /timeseriez on 127.0.0.1:N while training
-//                               runs (starts the timeseries recorder too)
+//                               runs (InitFromFlags then starts the
+//                               timeseries recorder too)
 //       Train a model on an on-disk dataset and save its parameters.
 //       --train_threads=N runs the deterministic training engine with N
 //       workers (docs/PERFORMANCE.md "Parallel training"; 0 = hardware,
@@ -23,6 +24,7 @@
 //       restores it and continues, bit-identical to an uninterrupted run
 //       (docs/ROBUSTNESS.md).
 //   evaluate  --data=DIR --checkpoint=FILE [--model=HOSR] [--dim=N] [--k=N]
+//       (--k in train, evaluate and recommend: 1..number of items)
 //       Reload a checkpoint and report Recall/MAP/NDCG/Precision@K.
 //   recommend --data=DIR --checkpoint=FILE --user=N [--model=HOSR]
 //             [--dim=N] [--k=N]
@@ -30,13 +32,14 @@
 //
 // Every subcommand also accepts the observability flags (docs/OBSERVABILITY.md):
 //   --trace_out=FILE        dump a Chrome trace_event JSON at exit
-//   --metrics_out=FILE      dump the metrics registry JSON at exit
-//   --metrics_interval=SECS background metrics snapshots every SECS seconds
+//   --metrics_out=FILE      dump the metrics registry JSON at exit; train
+//                           also rewrites it after every epoch, and every
+//                           timeseries recorder tick rewrites it
 //   --profile_out=FILE      continuous sampling CPU profile: collapsed
 //                           stacks to FILE (+ FILE.summary.json) at exit
 //   --profile_hz=N          profiler sampling rate (default 99)
 //   --timeseries_out=FILE   windowed metric history (CRC-footed JSON) at exit
-//   --timeseries_interval=S timeseries snapshot cadence (default 1.0)
+//   --timeseries_interval=S timeseries recorder cadence (default 1.0)
 //   --log_level=debug|info|warning|error
 // and the fault-injection flags (docs/ROBUSTNESS.md):
 //   --fault_spec=SPEC       arm deterministic fault injection points
@@ -64,7 +67,6 @@
 #include "models/trainer.h"
 #include "obs/admin_server.h"
 #include "obs/reporter.h"
-#include "obs/timeseries.h"
 #include "serve/snapshot.h"
 #include "util/flags.h"
 #include "util/string_util.h"
@@ -163,6 +165,10 @@ int RunTrain(const util::Flags& flags) {
   }
   auto session = OpenSession(flags);
   if (!session.ok()) return Fail(session.status());
+  const auto k_flag =
+      flags.GetUint32("k", 20, 1, session->dataset.num_items());
+  if (!k_flag.ok()) return Fail(k_flag.status());
+  const uint32_t k = *k_flag;
   const std::string checkpoint = flags.GetString("checkpoint", "");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "train requires --checkpoint=FILE\n");
@@ -174,18 +180,6 @@ int RunTrain(const util::Flags& flags) {
   std::unique_ptr<obs::AdminServer> admin;
   const int admin_port = static_cast<int>(flags.GetInt("admin_port", -1));
   if (admin_port >= 0) {
-    // Give /timeseriez live history (idempotent if --timeseries_out
-    // already started the recorder via InitFromFlags).
-    if (!obs::TimeseriesRecorder::Global().running()) {
-      obs::TimeseriesRecorder::Options ts_options;
-      ts_options.snapshot_interval_s =
-          flags.GetDouble("timeseries_interval", 1.0);
-      if (auto status = obs::TimeseriesRecorder::Global().Start(ts_options);
-          !status.ok()) {
-        std::fprintf(stderr, "note: timeseries recorder: %s\n",
-                     status.ToString().c_str());
-      }
-    }
     admin = std::make_unique<obs::AdminServer>(
         obs::AdminServer::Options{.port = admin_port});
     if (auto status = admin->Start(); !status.ok()) return Fail(status);
@@ -238,15 +232,17 @@ int RunTrain(const util::Flags& flags) {
         return Fail(restored);
       }
     }
-    // Epoch-cadence reporting: rewrite --metrics_out after every epoch so a
-    // long run always has a current artifact on disk.
-    obs::StatsReporter reporter(
-        {.interval_seconds = 0.0,
-         .metrics_path = flags.GetString("metrics_out", "")});
+    // Rewrite --metrics_out after every epoch so a long run always has a
+    // current artifact on disk, even if it dies before exit.
+    const std::string metrics_out = flags.GetString("metrics_out", "");
     models::EpochStats last;
     while (trainer.epoch() < config.epochs) {
       last = trainer.RunEpoch();
-      reporter.Snapshot();
+      if (!metrics_out.empty()) {
+        if (auto status = obs::WriteMetricsJson(metrics_out); !status.ok()) {
+          HOSR_LOG(Warning) << "metrics snapshot failed: " << status;
+        }
+      }
       if (!train_state.empty()) {
         if (auto status = trainer.SaveTrainingState(train_state);
             !status.ok()) {
@@ -267,7 +263,6 @@ int RunTrain(const util::Flags& flags) {
 
   // Post-training evaluation: reports ranking quality and exercises the
   // eval path so latency metrics land in --metrics_out.
-  const auto k = static_cast<uint32_t>(flags.GetInt("k", 20));
   eval::Evaluator evaluator(&train, &session->split.test, k);
   const auto result =
       evaluator.Evaluate([&](const std::vector<uint32_t>& users) {
@@ -310,7 +305,10 @@ int RunEvaluate(const util::Flags& flags) {
       return Fail(status);
     }
   }
-  const auto k = static_cast<uint32_t>(flags.GetInt("k", 20));
+  const auto k_flag =
+      flags.GetUint32("k", 20, 1, session->dataset.num_items());
+  if (!k_flag.ok()) return Fail(k_flag.status());
+  const uint32_t k = *k_flag;
   eval::Evaluator evaluator(&session->split.train.interactions,
                             &session->split.test, k);
   const auto result =
@@ -342,7 +340,10 @@ int RunRecommend(const util::Flags& flags) {
                  session->dataset.num_users());
     return 2;
   }
-  const auto k = static_cast<uint32_t>(flags.GetInt("k", 10));
+  const auto k_flag =
+      flags.GetUint32("k", 10, 1, session->dataset.num_items());
+  if (!k_flag.ok()) return Fail(k_flag.status());
+  const uint32_t k = *k_flag;
   const auto u = static_cast<uint32_t>(user);
   const tensor::Matrix scores = session->model->ScoreAllItems({u});
   const auto top = eval::TopKExcluding(

@@ -11,6 +11,7 @@
 //                [--num_requests=10000]   synthetic stream length
 //                [--k=10] [--zipf=0.9] [--seed=1]
 //                [--connections=4]        concurrent client connections
+//                                         (at most 256)
 //                [--qps=0]                target rate (0 = max speed)
 //                [--deadline_ms=0]        wire deadline per request
 //                [--connect_timeout_ms=5000] [--read_timeout_ms=30000]
@@ -158,17 +159,27 @@ int main(int argc, char** argv) {
   if (!info.ok()) return Fail(info.status());
   const uint32_t num_users = info->num_users;
 
-  const auto default_k = static_cast<uint32_t>(flags.GetInt("k", 10));
+  // Count flags are range-checked: a negative or oversized value is a clean
+  // error, never a wrapped size_t.
+  const auto default_k = flags.GetUint32("k", 10, 1, info->num_items);
+  if (!default_k.ok()) return Fail(default_k.status());
+  const auto num_requests = flags.GetUint32("num_requests", 10000);
+  if (!num_requests.ok()) return Fail(num_requests.status());
+  const auto connections_flag =
+      flags.GetUint32("connections", 4, 0, net::kMaxToolThreads);
+  if (!connections_flag.ok()) return Fail(connections_flag.status());
+  const auto deadline_ms = flags.GetUint32("deadline_ms", 0);
+  if (!deadline_ms.ok()) return Fail(deadline_ms.status());
+
   std::vector<net::StreamRequest> requests;
   const std::string requests_path = flags.GetString("requests", "");
   if (!requests_path.empty()) {
-    auto loaded = net::LoadRequestScript(requests_path, num_users, default_k);
+    auto loaded = net::LoadRequestScript(requests_path, num_users, *default_k);
     if (!loaded.ok()) return Fail(loaded.status());
     requests = std::move(loaded).value();
   } else {
     requests = net::SyntheticStream(
-        num_users, static_cast<size_t>(flags.GetInt("num_requests", 10000)),
-        default_k, flags.GetDouble("zipf", 0.9),
+        num_users, *num_requests, *default_k, flags.GetDouble("zipf", 0.9),
         static_cast<uint64_t>(flags.GetInt("seed", 1)));
   }
 
@@ -228,12 +239,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  size_t connections =
-      static_cast<size_t>(flags.GetInt("connections", 4));
-  connections = std::max<size_t>(1, std::min(connections, requests.size()));
+  const size_t connections = std::max<size_t>(
+      1, std::min<size_t>(*connections_flag, requests.size()));
   const double qps_target = flags.GetDouble("qps", 0.0);
-  const auto deadline_ms =
-      static_cast<uint32_t>(flags.GetInt("deadline_ms", 0));
   const double backoff_ms = flags.GetDouble("reconnect_backoff_ms", 0.0);
   const double backoff_max_ms =
       flags.GetDouble("reconnect_backoff_max_ms", 250.0);
@@ -288,7 +296,7 @@ int main(int argc, char** argv) {
         const auto start = std::chrono::steady_clock::now();
         auto result = client->Query(r.user, r.k,
                                     /*trace_id=*/static_cast<uint64_t>(i) + 1,
-                                    deadline_ms);
+                                    *deadline_ms);
         recorded.push_back(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - start)
@@ -357,7 +365,7 @@ int main(int argc, char** argv) {
       "\"closed\": %llu, \"not_sent\": %llu}, "
       "\"reconnects\": %llu, \"backoff_waits\": %llu, \"verified\": %s, "
       "\"verify_failures\": %llu, \"matched_a\": %llu, \"matched_b\": %llu}",
-      host.c_str(), port, requests.size(), connections, deadline_ms,
+      host.c_str(), port, requests.size(), connections, *deadline_ms,
       elapsed, qps, latency.mean_us, latency.p50_us, latency.p95_us,
       latency.p99_us,
       static_cast<unsigned long long>(total.outcomes.ok),

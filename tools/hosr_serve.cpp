@@ -17,7 +17,8 @@
 //              [--k=10]                    synthetic stream K
 //              [--zipf=0.9]                user skew (0 = uniform)
 //              [--qps=0]                   target replay rate (0 = max speed)
-//              [--clients=0]               client threads (0 = hardware)
+//              [--clients=0]               client threads (0 = hardware,
+//                                          at most 256)
 //              [--cache_capacity=65536]    0 disables the result cache
 //              [--cache_shards=16]
 //              [--seed=1] [--summary_out=FILE]
@@ -28,6 +29,7 @@
 //              [--port_file=FILE]          write the bound port (atomic)
 //              [--bind_any]                bind 0.0.0.0 instead of loopback
 //              [--workers=4]               connection-serving worker threads
+//                                          (1..256)
 //              [--max_pending_conns=64]    accept queue bound (shed above)
 //              [--net_read_timeout_ms=30000]  slow-loris cutoff
 //              [--serve_duration_s=0]      auto-stop after N seconds
@@ -58,9 +60,10 @@
 //                                          /varz /tracez /profilez
 //                                          /timeseriez on 127.0.0.1:N
 //                                          (0 = kernel-assigned ephemeral);
-//                                          also starts the timeseries
-//                                          recorder so /timeseriez has
-//                                          windowed history
+//                                          InitFromFlags then starts the
+//                                          timeseries recorder, so
+//                                          /timeseriez has windowed history
+//                                          and --metrics_out stays current
 //              [--timeseries_interval=S]   recorder snapshot cadence (1.0)
 //              [--admin_port_file=FILE]    write the bound port (atomic) so
 //                                          scripts can find an ephemeral one
@@ -97,7 +100,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/reporter.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "serve/cache.h"
 #include "serve/hardened.h"
@@ -118,6 +120,44 @@ using namespace hosr;
 int Fail(const util::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// Every count flag, range-checked once: a negative or oversized value is a
+// clean error, never a wrapped size_t or a failed HOSR_CHECK.
+struct Counts {
+  uint32_t k, num_requests, clients, cache_capacity, cache_shards, retries;
+  uint32_t probe_users, probe_k, workers, max_pending_conns;
+  uint32_t breaker_window, breaker_min_samples, breaker_probes;
+};
+
+util::Status ReadCounts(const util::Flags& flags, uint32_t num_items,
+                        Counts* c) {
+  HOSR_ASSIGN_OR_RETURN(c->k, flags.GetUint32("k", 10, 1, num_items));
+  HOSR_ASSIGN_OR_RETURN(c->num_requests,
+                        flags.GetUint32("num_requests", 10000));
+  HOSR_ASSIGN_OR_RETURN(c->clients,
+                        flags.GetUint32("clients", 0, 0, net::kMaxToolThreads));
+  HOSR_ASSIGN_OR_RETURN(c->cache_capacity,
+                        flags.GetUint32("cache_capacity", 65536));
+  HOSR_ASSIGN_OR_RETURN(c->cache_shards,
+                        flags.GetUint32("cache_shards", 16, 1));
+  HOSR_ASSIGN_OR_RETURN(
+      c->retries,
+      flags.GetUint32("retries", 2, 0, serve::kMaxAttemptsPerRequest - 2));
+  HOSR_ASSIGN_OR_RETURN(c->probe_users, flags.GetUint32("probe_users", 8));
+  HOSR_ASSIGN_OR_RETURN(c->probe_k,
+                        flags.GetUint32("probe_k", 10, 1, num_items));
+  HOSR_ASSIGN_OR_RETURN(c->workers,
+                        flags.GetUint32("workers", 4, 1, net::kMaxToolThreads));
+  HOSR_ASSIGN_OR_RETURN(c->max_pending_conns,
+                        flags.GetUint32("max_pending_conns", 64));
+  HOSR_ASSIGN_OR_RETURN(c->breaker_window,
+                        flags.GetUint32("breaker_window", 256, 1));
+  HOSR_ASSIGN_OR_RETURN(c->breaker_min_samples,
+                        flags.GetUint32("breaker_min_samples", 32, 1));
+  HOSR_ASSIGN_OR_RETURN(c->breaker_probes,
+                        flags.GetUint32("breaker_probes", 8, 1));
+  return util::Status::Ok();
 }
 
 // SIGTERM/SIGINT flip this; the server loop polls it and drains.
@@ -155,6 +195,10 @@ int main(int argc, char** argv) {
   const uint32_t num_users = snapshot->num_users();
   const uint32_t num_items = snapshot->num_items();
   const uint32_t dim = snapshot->dim();
+  Counts counts{};
+  if (auto status = ReadCounts(flags, num_items, &counts); !status.ok()) {
+    return Fail(status);
+  }
 
   // Seen-item filtering from the dataset's interactions, when provided.
   std::unique_ptr<data::Dataset> dataset;
@@ -199,17 +243,6 @@ int main(int argc, char** argv) {
   const int admin_port = static_cast<int>(flags.GetInt("admin_port", -1));
   if (admin_port >= 0) {
     obs::SetEnabled(true);  // /tracez is only useful with capture on
-    // /timeseriez needs windowed history whether or not --timeseries_out
-    // was passed; skip if InitFromFlags already started the recorder.
-    if (!obs::TimeseriesRecorder::Global().running()) {
-      obs::TimeseriesRecorder::Options ts_options;
-      ts_options.snapshot_interval_s =
-          flags.GetDouble("timeseries_interval", 1.0);
-      if (auto status = obs::TimeseriesRecorder::Global().Start(ts_options);
-          !status.ok()) {
-        HOSR_LOG(Warning) << "timeseries recorder: " << status;
-      }
-    }
     admin = std::make_unique<obs::AdminServer>(
         obs::AdminServer::Options{.port = admin_port});
     if (auto status = admin->Start(); !status.ok()) return Fail(status);
@@ -238,8 +271,7 @@ int main(int argc, char** argv) {
   // injection so same-seed runs report identical outcome counts — an
   // explicit --cache_capacity restores it.
   const bool faults_armed = fault::FaultRegistry::Global().armed();
-  auto cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache_capacity", 65536));
+  size_t cache_capacity = counts.cache_capacity;
   if (faults_armed && !flags.Has("cache_capacity")) {
     if (cache_capacity > 0) {
       std::fprintf(stderr,
@@ -252,8 +284,7 @@ int main(int argc, char** argv) {
   if (cache_capacity > 0) {
     cache = std::make_unique<serve::ResultCache>(serve::ResultCache::Options{
         .capacity = cache_capacity,
-        .num_shards =
-            static_cast<size_t>(flags.GetInt("cache_shards", 16))});
+        .num_shards = counts.cache_shards});
   }
 
   // Hardening: deadline budget, bounded retries with jittered backoff, and
@@ -261,7 +292,7 @@ int main(int argc, char** argv) {
   // instead of failing.
   serve::HardenedOptions hardened;
   hardened.deadline_ms = flags.GetDouble("deadline_ms", 0.0);
-  hardened.retry.max_attempts = 1 + static_cast<int>(flags.GetInt("retries", 2));
+  hardened.retry.max_attempts = 1 + static_cast<int>(counts.retries);
   hardened.retry.initial_backoff_ms = flags.GetDouble("retry_backoff_ms", 2.0);
   hardened.retry.max_backoff_ms =
       flags.GetDouble("retry_backoff_max_ms", 8.0);
@@ -275,9 +306,8 @@ int main(int argc, char** argv) {
   manager_options.seen = seen;
   manager_options.hardened = hardened;
   manager_options.degraded_fallback = flags.GetBool("degraded", true);
-  manager_options.probe_users =
-      static_cast<uint32_t>(flags.GetInt("probe_users", 8));
-  manager_options.probe_k = static_cast<uint32_t>(flags.GetInt("probe_k", 10));
+  manager_options.probe_users = counts.probe_users;
+  manager_options.probe_k = counts.probe_k;
   manager_options.poll_interval_s =
       flags.GetDouble("reload_poll_ms", 500.0) / 1000.0;
   manager_options.cache = cache.get();
@@ -352,24 +382,19 @@ int main(int argc, char** argv) {
     std::unique_ptr<serve::CircuitBreaker> breaker;
     if (flags.GetBool("breaker", false)) {
       serve::CircuitBreaker::Options breaker_options;
-      breaker_options.window =
-          static_cast<size_t>(flags.GetInt("breaker_window", 256));
-      breaker_options.min_samples =
-          static_cast<size_t>(flags.GetInt("breaker_min_samples", 32));
+      breaker_options.window = counts.breaker_window;
+      breaker_options.min_samples = counts.breaker_min_samples;
       breaker_options.trip_ratio =
           flags.GetDouble("breaker_trip_ratio", 0.5);
       breaker_options.open_ms = flags.GetDouble("breaker_open_ms", 250.0);
-      breaker_options.half_open_probes =
-          static_cast<size_t>(flags.GetInt("breaker_probes", 8));
+      breaker_options.half_open_probes = counts.breaker_probes;
       breaker = std::make_unique<serve::CircuitBreaker>(breaker_options);
     }
     net::NetServer::Options server_options;
     server_options.port = static_cast<int>(flags.GetInt("port", 0));
     server_options.bind_any = flags.GetBool("bind_any", false);
-    server_options.worker_threads =
-        static_cast<int>(flags.GetInt("workers", 4));
-    server_options.max_pending_conns =
-        static_cast<size_t>(flags.GetInt("max_pending_conns", 64));
+    server_options.worker_threads = static_cast<int>(counts.workers);
+    server_options.max_pending_conns = counts.max_pending_conns;
     server_options.read_timeout_ms =
         static_cast<int>(flags.GetInt("net_read_timeout_ms", 30000));
     server_options.manager = manager.get();
@@ -465,7 +490,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Replay mode: in-process scripted or synthetic stream. -----------
-  const auto default_k = static_cast<uint32_t>(flags.GetInt("k", 10));
+  const uint32_t default_k = counts.k;
   std::vector<net::StreamRequest> requests;
   const std::string requests_path = flags.GetString("requests", "");
   if (!requests_path.empty()) {
@@ -474,12 +499,12 @@ int main(int argc, char** argv) {
     requests = std::move(loaded).value();
   } else {
     requests = net::SyntheticStream(
-        num_users, static_cast<size_t>(flags.GetInt("num_requests", 10000)),
-        default_k, flags.GetDouble("zipf", 0.9),
+        num_users, counts.num_requests, default_k,
+        flags.GetDouble("zipf", 0.9),
         static_cast<uint64_t>(flags.GetInt("seed", 1)));
   }
 
-  size_t clients = static_cast<size_t>(flags.GetInt("clients", 0));
+  size_t clients = counts.clients;
   if (clients == 0) {
     clients = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
