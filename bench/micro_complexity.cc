@@ -8,7 +8,9 @@
 // time would miss the workers' share and overstate throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "core/hosr.h"
@@ -108,6 +110,80 @@ void BM_GemmEmbeddingTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmEmbeddingTransform)->Arg(5)->Arg(10)->Arg(20)
     ->UseRealTime();
+
+// --- GEMM at HOSR's training shapes ------------------------------------------
+
+// The propagation stack's GEMMs at the benchmark dataset's 2,116 users and
+// d = 64: the layer transform (NN) and its two backward products (NT for
+// the input, TN for the weight), and the attention vector's n = 1 product
+// with its k = 1 and n = 1 backward products.
+struct GemmShape {
+  const char* name;
+  size_t m, n, k;
+  bool transpose_a, transpose_b;
+};
+
+constexpr size_t kHosrUsers = 2116;
+constexpr GemmShape kGemmShapes[] = {
+    {"nn_2116x64x64", kHosrUsers, 64, 64, false, false},
+    {"nt_2116x64x64", kHosrUsers, 64, 64, false, true},
+    {"tn_64x64x2116", 64, 64, kHosrUsers, true, false},
+    {"nn_2116x1x64", kHosrUsers, 1, 64, false, false},
+    {"nt_2116x64x1", kHosrUsers, 64, 1, false, true},
+    {"tn_64x1x2116", 64, 1, kHosrUsers, true, false},
+};
+
+// Operands for `shape`, stored as Gemm reads them (transposed when flagged).
+struct GemmOperands {
+  explicit GemmOperands(const GemmShape& shape)
+      : a(shape.transpose_a ? shape.k : shape.m,
+          shape.transpose_a ? shape.m : shape.k),
+        b(shape.transpose_b ? shape.n : shape.k,
+          shape.transpose_b ? shape.k : shape.n),
+        out(shape.m, shape.n) {
+    util::Rng rng(9);
+    tensor::GaussianInit(&a, 1.0f, &rng);
+    tensor::GaussianInit(&b, 1.0f, &rng);
+  }
+  void Run(const GemmShape& shape) {
+    tensor::Gemm(a, shape.transpose_a, b, shape.transpose_b, 1.0f, 1.0f,
+                 &out);
+  }
+  tensor::Matrix a, b, out;
+};
+
+void BM_GemmHosrShape(benchmark::State& state) {
+  const GemmShape& shape = kGemmShapes[state.range(0)];
+  state.SetLabel(shape.name);
+  GemmOperands operands(shape);
+  for (auto _ : state) {
+    operands.Run(shape);
+    benchmark::DoNotOptimize(operands.out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(shape.m * shape.n * shape.k));
+}
+BENCHMARK(BM_GemmHosrShape)->DenseRange(0, std::size(kGemmShapes) - 1)
+    ->UseRealTime();
+
+// Median microseconds of each shape as bench/micro_complexity/gemm_<name>_us
+// gauges, so bench_diff gates them.
+void PublishGemmShapeGauges() {
+  for (const GemmShape& shape : kGemmShapes) {
+    GemmOperands operands(shape);
+    std::vector<double> us;
+    for (int i = 0; i < 41; ++i) {
+      const int64_t begin_ns = obs::NowNanos();
+      operands.Run(shape);
+      us.push_back(static_cast<double>(obs::NowNanos() - begin_ns) / 1e3);
+    }
+    std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+    hosr::obs::Registry::Global()
+        .GetGauge(util::StrFormat("bench/micro_complexity/gemm_%s_us",
+                                  shape.name))
+        ->Set(us[us.size() / 2]);
+  }
+}
 
 // --- Training steps ------------------------------------------------------------
 
@@ -249,6 +325,7 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   PublishStepCostGauges();
+  PublishGemmShapeGauges();
   benchmark::Shutdown();
   return 0;
 }

@@ -38,12 +38,14 @@ struct SparseSink {
 namespace internal {
 
 // One recorded operation. Nodes are heap-allocated so pointers stay stable
-// while the tape grows; Value handles wrap these pointers.
+// while the tape grows; Value handles wrap these pointers. A reset tape
+// reuses its Node objects.
 struct Node {
   // Interior nodes own their value; Param leaves alias the Param's matrix.
-  tensor::Matrix owned_value;
+  tensor::Matrix owned_value;   // from the tape's free list
   const tensor::Matrix* value_ptr = nullptr;
-  tensor::Matrix grad;          // allocated lazily on first accumulation
+  tensor::Matrix grad;          // from the free list on first accumulation
+  tensor::Matrix aux;           // per-op saved state (Dropout's mask)
   bool grad_live = false;       // true once grad holds real data
   bool requires_grad = false;
   Param* param = nullptr;       // set for Param leaves
@@ -56,7 +58,7 @@ struct Node {
 
 }  // namespace internal
 
-// Lightweight handle to a tape node; valid for the tape's lifetime.
+// Lightweight handle to a tape node; valid until the tape's next Reset.
 class Value {
  public:
   Value() : node_(nullptr) {}
@@ -74,27 +76,35 @@ class Value {
 // Reverse-mode automatic differentiation over Matrix values.
 //
 // Usage per training step:
-//   Tape tape;
+//   tape.Reset();                           // reuse last step's buffers
 //   Value u = tape.Param(user_embeddings);
 //   ... build the forward graph ...
 //   Value loss = tape.Mean(...);            // scalar (1x1)
 //   tape.Backward(loss);                    // accumulates into Param::grad
 //
-// Gradients *accumulate* across Backward calls until ParamStore::ZeroGrad.
-// All shape mismatches abort (programming errors).
+// Param gradients *accumulate* across Backward calls until
+// ParamStore::ZeroGrad; a built graph is swept once. Every node value and
+// gradient comes from the tape's free list, to which Reset returns them, so
+// a tape that rebuilds the same graph allocates no matrix storage after its
+// first build (the autograd/tape_alloc_bytes counter measures what it does
+// allocate). All shape mismatches abort (programming errors).
 class Tape {
  public:
   Tape() = default;
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
+  // Drops the recorded graph, invalidating every Value, and returns its
+  // matrices to the free list.
+  void Reset();
+
   // --- Leaves ---------------------------------------------------------
 
   // Trainable leaf aliasing `param->value`; Backward adds to `param->grad`.
   Value Param(autograd::Param* param);
 
-  // Non-trainable leaf (moves the matrix in).
-  Value Constant(tensor::Matrix m);
+  // Non-trainable leaf (copies the matrix in).
+  Value Constant(const tensor::Matrix& m);
 
   // --- Sparse leaves (parallel trainer slice tapes) --------------------
   //
@@ -198,13 +208,15 @@ class Tape {
   // sweep, accumulating into every reachable Param's grad.
   void Backward(Value loss);
 
-  // Resumes a shared-forward tape: installs each seed matrix as the
-  // complete gradient of its node (which must not already have one), then
-  // runs the reverse sweep from the end of the tape. Used by the parallel
-  // trainer to finish the shared prefix after reducing the slices' sink
-  // gradients; equivalent to the monolithic sweep reaching those interior
+  // Resuming a shared-forward tape: SeedGrad hands out the zeroed gradient
+  // of `node` (which must not already have one) for the caller to fill
+  // with its complete value; BackwardSeeded then runs the reverse sweep
+  // from the end of the tape. Used by the parallel trainer to finish the
+  // shared prefix after reducing the slices' sink gradients straight into
+  // the seeds; equivalent to the monolithic sweep reaching those interior
   // nodes with the same accumulated grads.
-  void BackwardSeeded(std::vector<std::pair<Value, tensor::Matrix>> seeds);
+  tensor::Matrix* SeedGrad(Value node);
+  void BackwardSeeded();
 
   // Sparse sinks in leaf creation order (stable pointers).
   const std::vector<std::unique_ptr<SparseSink>>& sparse_sinks() const {
@@ -217,18 +229,46 @@ class Tape {
     return param_leaves_;
   }
 
-  size_t num_nodes() const { return nodes_.size(); }
+  size_t num_nodes() const { return num_nodes_; }
 
  private:
-  internal::Node* NewNode(tensor::Matrix value, bool requires_grad);
-  internal::Node* NewParamNode(autograd::Param* param);
+  // A fresh node whose owned_value is a rows x cols free-list buffer with
+  // unspecified contents, for the op to overwrite.
+  internal::Node* NewNode(size_t rows, size_t cols, bool requires_grad);
+  internal::Node* NewNode(const tensor::Matrix& like, bool requires_grad);
+  internal::Node* NewLeaf(const tensor::Matrix* value, bool requires_grad);
 
   // Ensures `node->grad` exists and is zeroed, ready for accumulation.
-  static tensor::Matrix* GradFor(internal::Node* node);
+  tensor::Matrix* GradFor(internal::Node* node);
+  // Same, but a fresh gradient (*first_touch set) is left unwritten: the
+  // caller must write all of it.
+  tensor::Matrix* GradFor(internal::Node* node, bool* first_touch);
 
-  std::vector<std::unique_ptr<internal::Node>> nodes_;
+  // node's gradient[i] += term(i) for every element, split across the
+  // pool; a first touch writes 0 + term(i), the float operation of zeroing
+  // and then adding, in one pass.
+  template <typename Term>
+  void Accumulate(internal::Node* node, const Term& term);
+  // node's gradient(r, :) += src(r, :) * scale(r, 0), likewise.
+  void AccumulateRowScaled(internal::Node* node, const tensor::Matrix& src,
+                           const tensor::Matrix& scale);
+
+  // The free list: Take hands out the smallest buffer that holds rows x
+  // cols (else grows the largest), contents unspecified; Give takes one
+  // back.
+  tensor::Matrix Take(size_t rows, size_t cols);
+  void Give(tensor::Matrix* m);
+
+  // Runs every live node's backward in reverse creation order, handing
+  // each gradient back to the free list once its node has consumed it.
+  void Sweep();
+
+  std::vector<std::unique_ptr<internal::Node>> nodes_;  // reused by Reset
+  size_t num_nodes_ = 0;                                // live prefix
   std::vector<std::unique_ptr<SparseSink>> sinks_;
   std::vector<autograd::Param*> param_leaves_;
+  std::vector<tensor::Matrix> free_;
+  bool swept_ = false;
 };
 
 }  // namespace hosr::autograd

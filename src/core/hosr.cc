@@ -1,6 +1,7 @@
 #include "core/hosr.h"
 
 #include <cmath>
+#include <utility>
 
 #include "graph/laplacian.h"
 #include "graph/sampling.h"
@@ -229,8 +230,8 @@ std::vector<Matrix> Hosr::PropagateLayersInference() const {
       h = tensor::MatMul(h, layer_weights_[layer]->value);
     }
     if (config_.use_activation) {
-      h = config_.activation == Activation::kTanh ? tensor::Tanh(h)
-                                                  : tensor::Relu(h);
+      config_.activation == Activation::kTanh ? tensor::Tanh(h, &h)
+                                              : tensor::Relu(h, &h);
     }
     layers.push_back(h);
   }
@@ -247,7 +248,8 @@ Matrix Hosr::AggregateLayersInference(
       for (size_t l = 1; l < layers.size(); ++l) {
         tensor::Axpy(1.0f, layers[l], &acc);
       }
-      return tensor::Scale(acc, 1.0f / static_cast<float>(layers.size()));
+      tensor::Scale(acc, 1.0f / static_cast<float>(layers.size()), &acc);
+      return acc;
     }
     case LayerAggregation::kAttention: {
       if (layers.size() == 1) return layers[0];
@@ -277,11 +279,12 @@ Matrix Hosr::AttentionWeightsFor(const std::vector<Matrix>& layers) const {
   for (size_t l = 0; l < layers.size(); ++l) {
     Matrix hidden = tensor::MatMul(layers[l], attn_proj_output_->value);
     tensor::Axpy(1.0f, projected_u0, &hidden);
-    hidden = tensor::Relu(hidden);
+    tensor::Relu(hidden, &hidden);
     const Matrix a_l = tensor::MatMul(hidden, attn_vector_->value);
     for (size_t r = 0; r < scores.rows(); ++r) scores(r, l) = a_l(r, 0);
   }
-  Matrix weights = tensor::RowSoftmax(scores);
+  Matrix weights = std::move(scores);
+  tensor::RowSoftmax(weights, &weights);
   if (obs::Enabled()) {
     // Distribution of post-softmax layer weights (Eq. 9): how much each
     // user leans on each propagation depth.

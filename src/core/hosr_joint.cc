@@ -193,8 +193,8 @@ Matrix HosrJoint::FinalNodeEmbeddings() const {
   for (uint32_t layer = 0; layer < config_.num_layers; ++layer) {
     h = graph::Spmm(base_laplacian_, h);
     h = tensor::MatMul(h, layer_weights_[layer]->value);
-    h = config_.activation == Activation::kTanh ? tensor::Tanh(h)
-                                                : tensor::Relu(h);
+    config_.activation == Activation::kTanh ? tensor::Tanh(h, &h)
+                                            : tensor::Relu(h, &h);
     layers.push_back(h);
   }
   switch (config_.aggregation) {
@@ -205,7 +205,8 @@ Matrix HosrJoint::FinalNodeEmbeddings() const {
       for (size_t l = 1; l < layers.size(); ++l) {
         tensor::Axpy(1.0f, layers[l], &acc);
       }
-      return tensor::Scale(acc, 1.0f / static_cast<float>(layers.size()));
+      tensor::Scale(acc, 1.0f / static_cast<float>(layers.size()), &acc);
+      return acc;
     }
     case LayerAggregation::kAttention: {
       if (layers.size() == 1) return layers[0];
@@ -215,11 +216,12 @@ Matrix HosrJoint::FinalNodeEmbeddings() const {
       for (size_t l = 0; l < layers.size(); ++l) {
         Matrix hidden = tensor::MatMul(layers[l], attn_proj_output_->value);
         tensor::Axpy(1.0f, projected, &hidden);
-        hidden = tensor::Relu(hidden);
+        tensor::Relu(hidden, &hidden);
         const Matrix a_l = tensor::MatMul(hidden, attn_vector_->value);
         for (size_t r = 0; r < scores.rows(); ++r) scores(r, l) = a_l(r, 0);
       }
-      const Matrix weights = tensor::RowSoftmax(scores);
+      tensor::RowSoftmax(scores, &scores);
+      const Matrix& weights = scores;
       Matrix acc(node_emb_->value.rows(), config_.embedding_dim);
       for (size_t l = 0; l < layers.size(); ++l) {
         for (size_t r = 0; r < acc.rows(); ++r) {

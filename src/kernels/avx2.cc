@@ -70,6 +70,123 @@ void Axpy2Avx2(size_t n, float a0, const float* x0, float a1, const float* x1,
   for (; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
 }
 
+// kRows rows x kRegs * 8 columns of Gemm output, held in registers across
+// the whole k loop (the pragmas unroll the block loops, which keeps the
+// accumulators out of memory). Per element: the FMA pair of Axpy2Avx2's
+// vector body, then AxpyAvx2's single FMA for an odd last kk. Each load of
+// b feeds all kRows rows. With kUnitAlpha (alpha == 1, every autograd
+// Gemm) a is broadcast straight from memory: 1 * x == x, so skipping the
+// multiply changes no bit.
+template <int kRows, int kRegs, bool kUnitAlpha>
+void GemmBlockAvx2(size_t k, float alpha, const float* a, size_t a_row,
+                   size_t a_k, const float* b, size_t ldb, float* out,
+                   size_t ldo) {
+  __m256 acc[kRows][kRegs];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int c = 0; c < kRegs; ++c) {
+      acc[r][c] = _mm256_loadu_ps(out + r * ldo + 8 * c);
+    }
+  }
+  size_t kk = 0;
+  for (; kk + 2 <= k; kk += 2) {
+    const float* b0 = b + kk * ldb;
+    const float* b1 = b0 + ldb;
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const float* ar = a + r * a_row + kk * a_k;
+      const __m256 va0 = kUnitAlpha ? _mm256_broadcast_ss(ar)
+                                    : _mm256_set1_ps(alpha * ar[0]);
+      const __m256 va1 = kUnitAlpha ? _mm256_broadcast_ss(ar + a_k)
+                                    : _mm256_set1_ps(alpha * ar[a_k]);
+#pragma GCC unroll 2
+      for (int c = 0; c < kRegs; ++c) {
+        acc[r][c] =
+            _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0 + 8 * c), acc[r][c]);
+        acc[r][c] =
+            _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1 + 8 * c), acc[r][c]);
+      }
+    }
+  }
+  if (kk < k) {
+    const float* b0 = b + kk * ldb;
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 va = _mm256_set1_ps(alpha * a[r * a_row + kk * a_k]);
+#pragma GCC unroll 2
+      for (int c = 0; c < kRegs; ++c) {
+        acc[r][c] =
+            _mm256_fmadd_ps(va, _mm256_loadu_ps(b0 + 8 * c), acc[r][c]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int c = 0; c < kRegs; ++c) {
+      _mm256_storeu_ps(out + r * ldo + 8 * c, acc[r][c]);
+    }
+  }
+}
+
+// kRows rows, 16 columns then 8 at a time, then the scalar tail columns
+// with the same expressions as the axpy2/axpy tails, so the compiler
+// contracts them identically.
+template <int kRows, bool kUnitAlpha>
+void GemmRowBlockAvx2(size_t n, size_t k, float alpha, const float* a,
+                      size_t a_row, size_t a_k, const float* b, size_t ldb,
+                      float* out, size_t ldo) {
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    GemmBlockAvx2<kRows, 2, kUnitAlpha>(k, alpha, a, a_row, a_k, b + j, ldb,
+                                        out + j, ldo);
+  }
+  for (; j + 8 <= n; j += 8) {
+    GemmBlockAvx2<kRows, 1, kUnitAlpha>(k, alpha, a, a_row, a_k, b + j, ldb,
+                                        out + j, ldo);
+  }
+  for (; j < n; ++j) {
+    for (int r = 0; r < kRows; ++r) {
+      const float* ar = a + r * a_row;
+      float y = out[r * ldo + j];
+      size_t kk = 0;
+      for (; kk + 2 <= k; kk += 2) {
+        const float a0 = alpha * ar[kk * a_k];
+        const float a1 = alpha * ar[(kk + 1) * a_k];
+        y += a0 * b[kk * ldb + j] + a1 * b[(kk + 1) * ldb + j];
+      }
+      if (kk < k) {
+        const float a0 = alpha * ar[kk * a_k];
+        y += a0 * b[kk * ldb + j];
+      }
+      out[r * ldo + j] = y;
+    }
+  }
+}
+
+template <bool kUnitAlpha>
+void GemmRowsImpl(size_t rows, size_t n, size_t k, float alpha,
+                  const float* a, size_t a_row, size_t a_k, const float* b,
+                  size_t ldb, float* out, size_t ldo) {
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    GemmRowBlockAvx2<4, kUnitAlpha>(n, k, alpha, a + r * a_row, a_row, a_k,
+                                    b, ldb, out + r * ldo, ldo);
+  }
+  for (; r < rows; ++r) {
+    GemmRowBlockAvx2<1, kUnitAlpha>(n, k, alpha, a + r * a_row, a_row, a_k,
+                                    b, ldb, out + r * ldo, ldo);
+  }
+}
+
+void GemmRowsAvx2(size_t rows, size_t n, size_t k, float alpha,
+                  const float* a, size_t a_row, size_t a_k, const float* b,
+                  size_t ldb, float* out, size_t ldo) {
+  (alpha == 1.0f ? GemmRowsImpl<true> : GemmRowsImpl<false>)(
+      rows, n, k, alpha, a, a_row, a_k, b, ldb, out, ldo);
+}
+
 float DotAvx2(size_t n, const float* a, const float* b) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
@@ -172,8 +289,9 @@ float ScoreBlockAvx2(size_t items, size_t d, const float* u,
 }
 
 constexpr KernelTable kAvx2Table = {
-    "avx2",        kLevelAvx2, AxpyAvx2,      Axpy2Avx2,
-    DotAvx2,       ScaleAvx2,  ReduceMaxAvx2, ScoreBlockAvx2,
+    "avx2",      kLevelAvx2,  AxpyAvx2,
+    Axpy2Avx2,   GemmRowsAvx2, DotAvx2,
+    ScaleAvx2,   ReduceMaxAvx2, ScoreBlockAvx2,
 };
 
 }  // namespace

@@ -38,6 +38,19 @@ struct KernelTable {
   void (*axpy2)(size_t n, float a0, const float* x0, float a1,
                 const float* x1, float* y);
 
+  // Gemm's NN and TN modes over `rows` consecutive output rows:
+  //   out[r * ldo + j] += sum_kk (alpha * a[r * a_row + kk * a_k]) *
+  //                       b[kk * ldb + j]                (r < rows, j < n)
+  // Every output element goes through exactly the float operations of the
+  // call sequence axpy2(n, alpha * a_kk, b_kk, alpha * a_kk+1, b_kk+1,
+  // out_row) for kk = 0, 2, ..., then axpy for an odd last kk. The rows
+  // just stay in registers across k, where those calls make a memory round
+  // trip (and an indirect call) per pair, and a block of rows shares each
+  // load of b.
+  void (*gemm_rows)(size_t rows, size_t n, size_t k, float alpha,
+                    const float* a, size_t a_row, size_t a_k, const float* b,
+                    size_t ldb, float* out, size_t ldo);
+
   // Returns sum_i a[i] * b[i].
   float (*dot)(size_t n, const float* a, const float* b);
 

@@ -19,6 +19,23 @@ void Axpy2Scalar(size_t n, float a0, const float* x0, float a1,
   for (size_t i = 0; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
 }
 
+void GemmRowsScalar(size_t rows, size_t n, size_t k, float alpha,
+                    const float* a, size_t a_row, size_t a_k, const float* b,
+                    size_t ldb, float* out, size_t ldo) {
+  for (size_t r = 0; r < rows; ++r) {
+    const float* ar = a + r * a_row;
+    size_t kk = 0;
+    for (; kk + 2 <= k; kk += 2) {
+      Axpy2Scalar(n, alpha * ar[kk * a_k], b + kk * ldb,
+                  alpha * ar[(kk + 1) * a_k], b + (kk + 1) * ldb,
+                  out + r * ldo);
+    }
+    if (kk < k) {
+      AxpyScalar(n, alpha * ar[kk * a_k], b + kk * ldb, out + r * ldo);
+    }
+  }
+}
+
 float DotScalar(size_t n, const float* a, const float* b) {
   float acc = 0.0f;
   for (size_t i = 0; i < n; ++i) acc += a[i] * b[i];
@@ -50,8 +67,9 @@ float ScoreBlockScalar(size_t items, size_t d, const float* u,
 }
 
 constexpr KernelTable kScalarTable = {
-    "scalar",        kLevelScalar, AxpyScalar,      Axpy2Scalar,
-    DotScalar,       ScaleScalar,  ReduceMaxScalar, ScoreBlockScalar,
+    "scalar",        kLevelScalar,  AxpyScalar,
+    Axpy2Scalar,     GemmRowsScalar, DotScalar,
+    ScaleScalar,     ReduceMaxScalar, ScoreBlockScalar,
 };
 
 }  // namespace

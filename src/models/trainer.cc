@@ -334,8 +334,8 @@ class ParallelEngine {
   double TrainBatch(const data::BprBatch& batch, util::Rng* rng) {
     autograd::ParamStore* params = model_->params();
 
-    autograd::Tape shared_tape;
-    SharedForward shared(&shared_tape);
+    shared_tape_.Reset();
+    SharedForward shared(&shared_tape_);
     {
       HOSR_TRACE_SPAN("trainer/shared_forward");
       HOSR_PHASE_US("trainer/shared_forward_us");
@@ -348,19 +348,19 @@ class ParallelEngine {
     }
 
     double batch_loss = 0.0;
-    std::vector<std::pair<autograd::Value, tensor::Matrix>> seeds;
+    bool seeded = false;
     if (!shared.loss.has_value()) {
-      batch_loss = BackwardSlices(batch, shared, &seeds);
+      batch_loss = BackwardSlices(batch, shared, &seeded);
     }
     {
       HOSR_TRACE_SPAN("trainer/seeded_backward");
       HOSR_PHASE_US("trainer/seeded_backward_us");
       if (shared.loss.has_value()) {
         // The model's whole loss lives on the shared tape: no slices.
-        shared_tape.Backward(*shared.loss);
+        shared_tape_.Backward(*shared.loss);
         batch_loss = shared.loss->value()(0, 0);
-      } else if (!seeds.empty()) {
-        shared_tape.BackwardSeeded(std::move(seeds));
+      } else if (seeded) {
+        shared_tape_.BackwardSeeded();
       }
     }
 
@@ -368,7 +368,7 @@ class ParallelEngine {
       HOSR_TRACE_SPAN("trainer/step");
       HOSR_PHASE_US("trainer/step_us");
       if (sparse_mode_) {
-        const size_t plan_rows = BuildPlan(shared_tape);
+        const size_t plan_rows = BuildPlan(shared_tape_);
         HOSR_COUNTER("trainer/sparse_rows").Increment(plan_rows);
         optimizer_->StepRows(params, plan_);
         RezeroTouched(params);
@@ -381,14 +381,13 @@ class ParallelEngine {
 
  private:
   // Builds + backpropagates one slice tape per worker task and reduces
-  // their sinks into the parameter grads and `seed_pairs`, the gradients
-  // of the shared outputs. Returns the batch loss.
-  double BackwardSlices(
-      const data::BprBatch& batch, const SharedForward& shared,
-      std::vector<std::pair<autograd::Value, tensor::Matrix>>* seed_pairs) {
+  // their sinks into the parameter grads and the seeded gradients of the
+  // shared outputs (setting `seeded` if there are any). Returns the batch
+  // loss.
+  double BackwardSlices(const data::BprBatch& batch,
+                        const SharedForward& shared, bool* seeded) {
     const size_t slice_size = config_.slice_size;
     const size_t num_slices = (batch.size() + slice_size - 1) / slice_size;
-    slice_tapes_.clear();
     slice_tapes_.resize(num_slices);
     slice_losses_.assign(num_slices, 0.0f);
     {
@@ -397,7 +396,9 @@ class ParallelEngine {
       team_.Run(num_slices, [&](size_t s) {
         const size_t begin = s * slice_size;
         const size_t end = std::min(batch.size(), begin + slice_size);
-        auto tape = std::make_unique<autograd::Tape>();
+        std::unique_ptr<autograd::Tape>& tape = slice_tapes_[s];
+        if (tape == nullptr) tape = std::make_unique<autograd::Tape>();
+        tape->Reset();
         autograd::Value loss =
             model_->BuildLossSlice(tape.get(), shared, batch, begin, end);
         // Slice contract: every parameter a slice reaches must go through
@@ -407,7 +408,6 @@ class ParallelEngine {
             << model_->name() << " slice tape has dense parameter leaves";
         tape->Backward(loss);
         slice_losses_[s] = loss.value()(0, 0);
-        slice_tapes_[s] = std::move(tape);
       });
     }
 
@@ -415,11 +415,13 @@ class ParallelEngine {
     CheckSinkStructure(sinks);
     EnsureTargets(sinks, shared);
 
-    // Seed accumulators for shared-forward outputs that have a sink.
-    std::vector<tensor::Matrix> seeds(shared.outputs.size());
+    // The shared outputs' gradients, for the sinks that reach them.
+    std::vector<tensor::Matrix*> seeds(shared.outputs.size(), nullptr);
     for (const Target& t : targets_) {
-      if (t.param == nullptr && seeds[t.shared_key].empty()) {
-        seeds[t.shared_key] = tensor::Matrix(t.rows, t.cols);
+      if (t.param == nullptr && seeds[t.shared_key] == nullptr) {
+        seeds[t.shared_key] =
+            shared.tape->SeedGrad(shared.outputs[t.shared_key]);
+        *seeded = true;
       }
     }
 
@@ -430,14 +432,10 @@ class ParallelEngine {
       const uint32_t stamp_base = NextStampBlock(num_sinks + 1);
       const size_t num_shards = team_.workers();
       team_.Run(num_shards, [&](size_t shard) {
-        ReduceShard(shard, num_shards, stamp_base, &seeds);
+        ReduceShard(shard, num_shards, stamp_base, seeds);
       });
     }
 
-    for (size_t key = 0; key < seeds.size(); ++key) {
-      if (seeds[key].empty()) continue;
-      seed_pairs->emplace_back(shared.outputs[key], std::move(seeds[key]));
-    }
     double batch_loss = 0.0;
     for (const float l : slice_losses_) batch_loss += l;
     return batch_loss;
@@ -534,7 +532,7 @@ class ParallelEngine {
   }
 
   void ReduceShard(size_t shard, size_t num_shards, uint32_t stamp_base,
-                   std::vector<tensor::Matrix>* seeds) {
+                   const std::vector<tensor::Matrix*>& seeds) {
     const uint32_t step_stamp =
         stamp_base + static_cast<uint32_t>(targets_.size());
     for (size_t k = targets_.size(); k-- > 0;) {
@@ -547,7 +545,7 @@ class ParallelEngine {
                         stamp_base + static_cast<uint32_t>(k), step_stamp,
                         shard);
       } else {
-        ReduceSharedSink(k, target, lo, hi, &(*seeds)[target.shared_key]);
+        ReduceSharedSink(k, target, lo, hi, seeds[target.shared_key]);
       }
     }
   }
@@ -654,6 +652,9 @@ class ParallelEngine {
   const TrainConfig& config_;
   const bool sparse_mode_;
   WorkerTeam team_;
+  // Kept across batches: each Reset returns the last batch's buffers to
+  // the tape's free list, so steady-state batches allocate no matrices.
+  autograd::Tape shared_tape_;
   std::unordered_map<autograd::Param*, size_t> param_index_;
   std::vector<std::unique_ptr<autograd::Tape>> slice_tapes_;
   std::vector<float> slice_losses_;

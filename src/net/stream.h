@@ -21,6 +21,11 @@ namespace hosr::net {
 // generator connections (hosr_loadgen --connections).
 inline constexpr uint32_t kMaxToolThreads = 256;
 
+// Upper bound on a synthetic stream's length (hosr_serve and hosr_loadgen
+// --num_requests): the tools hold the whole stream and one latency per
+// request in memory, 16 bytes a request, reserved up front.
+inline constexpr uint32_t kMaxStreamRequests = 1u << 24;
+
 struct StreamRequest {
   uint32_t user;
   uint32_t k;

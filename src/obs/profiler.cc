@@ -2,7 +2,9 @@
 
 #include <cxxabi.h>
 #include <dlfcn.h>
+#include <elf.h>
 #include <execinfo.h>
+#include <link.h>
 #include <sys/time.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -201,25 +204,116 @@ void CollectorLoop(SessionState* session) {
   }
 }
 
+// The executable's full symbol table (.symtab), for the functions dladdr
+// cannot name because -rdynamic exports only external symbols: lambdas,
+// static and anonymous-namespace functions. That is where the thread pool
+// runs (a ParallelFor body is a lambda), so without it every sample of a
+// pool thread would end in raw addresses. Empty if the file has no
+// .symtab (a stripped binary) or cannot be read.
+class ExeSymbols {
+ public:
+  ExeSymbols() {
+    std::ifstream file("/proc/self/exe", std::ios::binary);
+    const auto read_at = [&file](uint64_t offset, void* dst, size_t bytes) {
+      file.seekg(static_cast<std::streamoff>(offset));
+      file.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+      return file.good();
+    };
+    Elf64_Ehdr header;
+    if (!read_at(0, &header, sizeof(header)) ||
+        std::memcmp(header.e_ident, ELFMAG, SELFMAG) != 0 ||
+        header.e_ident[EI_CLASS] != ELFCLASS64 ||
+        header.e_shentsize != sizeof(Elf64_Shdr)) {
+      return;
+    }
+    std::vector<Elf64_Shdr> sections(header.e_shnum);
+    if (!read_at(header.e_shoff, sections.data(),
+                 sections.size() * sizeof(Elf64_Shdr))) {
+      return;
+    }
+    for (const Elf64_Shdr& section : sections) {
+      if (section.sh_type != SHT_SYMTAB || section.sh_link >= sections.size()) {
+        continue;
+      }
+      const Elf64_Shdr& strings = sections[section.sh_link];
+      std::vector<Elf64_Sym> symbols(section.sh_size / sizeof(Elf64_Sym));
+      names_.resize(strings.sh_size);
+      if (!read_at(section.sh_offset, symbols.data(),
+                   symbols.size() * sizeof(Elf64_Sym)) ||
+          !read_at(strings.sh_offset, names_.data(), names_.size())) {
+        functions_.clear();
+        return;
+      }
+      for (const Elf64_Sym& symbol : symbols) {
+        if (ELF64_ST_TYPE(symbol.st_info) == STT_FUNC && symbol.st_size > 0 &&
+            symbol.st_name < names_.size()) {
+          functions_.push_back({symbol.st_value,
+                                symbol.st_value + symbol.st_size,
+                                symbol.st_name});
+        }
+      }
+    }
+    std::sort(functions_.begin(), functions_.end(),
+              [](const Function& a, const Function& b) {
+                return a.begin < b.begin;
+              });
+    // The main program is the first object dl_iterate_phdr reports; its
+    // dlpi_addr is the load bias of a position-independent executable.
+    dl_iterate_phdr(
+        [](dl_phdr_info* info, size_t, void* bias) {
+          *static_cast<uintptr_t*>(bias) = info->dlpi_addr;
+          return 1;
+        },
+        &bias_);
+  }
+
+  // The mangled name of the function holding `pc`, or nullptr.
+  const char* Find(uintptr_t pc) const {
+    const uintptr_t address = pc - bias_;
+    auto it = std::upper_bound(
+        functions_.begin(), functions_.end(), address,
+        [](uintptr_t a, const Function& f) { return a < f.begin; });
+    if (it == functions_.begin() || address >= (--it)->end) return nullptr;
+    return names_.data() + it->name;
+  }
+
+ private:
+  struct Function {
+    uintptr_t begin;
+    uintptr_t end;
+    size_t name;  // offset into names_
+  };
+  std::vector<Function> functions_;
+  std::string names_;
+  uintptr_t bias_ = 0;
+};
+
 // Symbolizes one program counter. `caller_frame` (a return address) is
 // adjusted back by one byte so calls at the end of a function attribute to
 // the caller, not the next symbol.
 std::string SymbolizePc(void* pc, bool is_leaf,
                         std::unordered_map<void*, std::string>* cache) {
   if (const auto it = cache->find(pc); it != cache->end()) return it->second;
+  static const ExeSymbols* const exe_symbols = new ExeSymbols();
   void* lookup = is_leaf ? pc
                          : reinterpret_cast<void*>(
                                reinterpret_cast<uintptr_t>(pc) - 1);
   Dl_info info;
-  std::string name;
+  const char* symbol = nullptr;
   if (dladdr(lookup, &info) != 0 && info.dli_sname != nullptr) {
+    symbol = info.dli_sname;
+  } else {
+    symbol = exe_symbols->Find(reinterpret_cast<uintptr_t>(lookup));
+  }
+  std::string name;
+  if (symbol != nullptr) {
     int demangle_status = 0;
-    char* demangled = abi::__cxa_demangle(info.dli_sname, nullptr, nullptr,
-                                          &demangle_status);
+    char* demangled =
+        abi::__cxa_demangle(symbol, nullptr, nullptr, &demangle_status);
     if (demangle_status == 0 && demangled != nullptr) {
       name.assign(demangled);
     } else {
-      name.assign(info.dli_sname);
+      name.assign(symbol);
     }
     std::free(demangled);
     // Collapsed-stack separators are ';' and ' '; scrub them from symbols.

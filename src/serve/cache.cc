@@ -12,7 +12,8 @@ ResultCache::ResultCache() : ResultCache(Options{}) {}
 
 ResultCache::ResultCache(Options options) : capacity_(options.capacity) {
   HOSR_CHECK(options.capacity > 0);
-  HOSR_CHECK(options.num_shards > 0);
+  HOSR_CHECK(options.num_shards > 0 && options.num_shards <= kMaxCacheShards)
+      << "num_shards " << options.num_shards;
   // Round the shard count to a power of two no larger than the capacity so
   // every shard holds at least one entry.
   const size_t shards = std::bit_floor(std::min(options.num_shards,

@@ -12,6 +12,11 @@
 
 namespace hosr::serve {
 
+// Upper bound on ResultCache::Options::num_shards (and hosr_serve
+// --cache_shards): every shard, with its mutex, map and list, is built up
+// front.
+inline constexpr size_t kMaxCacheShards = 1024;
+
 // Sharded LRU cache of ranked result lists keyed by (user, K). Each shard
 // owns an independent mutex + intrusive LRU list, so concurrent request
 // threads rarely contend. Hit/miss/eviction totals feed both local Stats
@@ -28,7 +33,7 @@ class ResultCache {
  public:
   struct Options {
     size_t capacity = 1 << 16;  // entries across all shards
-    size_t num_shards = 16;
+    size_t num_shards = 16;     // 1..kMaxCacheShards
   };
 
   ResultCache();  // default Options

@@ -16,6 +16,16 @@ Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
   return m;
 }
 
+void Matrix::Reshape(size_t rows, size_t cols) {
+  if (rows * cols > data_.capacity()) {
+    data_ = {};  // free the old storage before taking the new
+    data_.reserve(rows * cols);
+  }
+  data_.resize(rows * cols);
+  rows_ = rows;
+  cols_ = cols;
+}
+
 void Matrix::Fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

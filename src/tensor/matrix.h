@@ -2,12 +2,33 @@
 #define HOSR_TENSOR_MATRIX_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "util/logging.h"
 
 namespace hosr::tensor {
+
+namespace internal {
+
+// Leaves the elements a resize adds uninitialized, so a Reshape within
+// the storage costs no fill pass; every other construction is unchanged.
+template <typename T>
+struct NoFillAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = NoFillAllocator<U>;
+  };
+  // Hides std::allocator's construct: a fill value is still placed by
+  // allocator_traits, a value-initialization is not.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+}  // namespace internal
 
 // Dense row-major float matrix. This is the single tensor type the entire
 // library is built on: embeddings are (n x d) matrices, vectors are (1 x d)
@@ -58,6 +79,14 @@ class Matrix {
   float& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
   float operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
+  // Floats the storage holds without reallocating.
+  size_t capacity() const { return data_.capacity(); }
+
+  // Becomes rows x cols, reusing the storage when its capacity suffices
+  // (allocating exactly rows * cols otherwise). Element values are
+  // unspecified afterwards: callers overwrite or SetZero.
+  void Reshape(size_t rows, size_t cols);
+
   void Fill(float value);
   void SetZero() { Fill(0.0f); }
 
@@ -71,7 +100,7 @@ class Matrix {
  private:
   size_t rows_;
   size_t cols_;
-  std::vector<float> data_;
+  std::vector<float, internal::NoFillAllocator<float>> data_;
 };
 
 }  // namespace hosr::tensor

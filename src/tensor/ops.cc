@@ -16,6 +16,28 @@ void CheckSameShape(const Matrix& a, const Matrix& b) {
                              << b.rows() << "x" << b.cols();
 }
 
+// out[i] = fn(a[i]) and out[i] = fn(a[i], b[i]), split across the pool.
+template <typename Fn>
+void MapInto(const Matrix& a, Matrix* out, Fn fn,
+             size_t grain = util::kGrainTargetWork) {
+  CheckSameShape(a, *out);
+  const float* ap = a.data();
+  float* op = out->data();
+  util::ParallelForEach(0, a.size(), [=](size_t i) { op[i] = fn(ap[i]); },
+                        grain);
+}
+
+template <typename Fn>
+void ZipInto(const Matrix& a, const Matrix& b, Matrix* out, Fn fn) {
+  CheckSameShape(a, b);
+  CheckSameShape(a, *out);
+  const float* ap = a.data();
+  const float* bp = b.data();
+  float* op = out->data();
+  util::ParallelForEach(0, a.size(),
+                        [=](size_t i) { op[i] = fn(ap[i], bp[i]); });
+}
+
 }  // namespace
 
 void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
@@ -33,15 +55,19 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
   HOSR_COUNTER("kernels/gemm_flops").Increment(2 * m * n * k);
   const kernels::KernelTable& kern = kernels::Active();
 
-  // i-k-j loop order keeps the inner loop streaming over contiguous rows of
-  // the (possibly logically transposed) operands: pairs of rank-1 row
-  // updates through the axpy2 microkernel. For transposed B we materialize
-  // nothing: B^T(kk, j) = B(j, kk) is strided, so the j-major inner loop
-  // reduces with the dot microkernel instead (or a scalar accumulator when
-  // A is also transposed and its column walk is strided too).
+  // Parallel over blocks of out's rows. Un-transposed B: the gemm_rows
+  // microkernel keeps the rows in registers across the pairs of rank-1 row
+  // updates (the axpy2 sequence, element for element). Transposed B:
+  // score_block reduces each (i, j) exactly as dot does, a chunk of B's
+  // rows per call (k == 1 needs no reduction at all). Both transposed: B^T's
+  // column walk is strided too, so a scalar accumulator.
+  constexpr size_t kRowBlock = 4;
+  constexpr size_t kScoreChunk = 256;
   util::ParallelFor(
-      0, m,
-      [&](size_t row_begin, size_t row_end) {
+      0, (m + kRowBlock - 1) / kRowBlock,
+      [&](size_t block_begin, size_t block_end) {
+        const size_t row_begin = block_begin * kRowBlock;
+        const size_t row_end = std::min(m, block_end * kRowBlock);
         for (size_t i = row_begin; i < row_end; ++i) {
           float* out_row = out->row(i);
           if (beta == 0.0f) {
@@ -49,22 +75,33 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
           } else if (beta != 1.0f) {
             kern.scale(n, beta, out_row);
           }
-          if (!transpose_b) {
-            size_t kk = 0;
-            for (; kk + 2 <= k; kk += 2) {
-              const float a0 = transpose_a ? a(kk, i) : a(i, kk);
-              const float a1 = transpose_a ? a(kk + 1, i) : a(i, kk + 1);
-              kern.axpy2(n, alpha * a0, b.row(kk), alpha * a1, b.row(kk + 1),
-                         out_row);
-            }
-            if (kk < k) {
-              const float a_ik = transpose_a ? a(kk, i) : a(i, kk);
-              kern.axpy(n, alpha * a_ik, b.row(kk), out_row);
+        }
+        if (!transpose_b) {
+          const size_t lda = a.cols();
+          if (k == 0) return;
+          kern.gemm_rows(row_end - row_begin, n, k, alpha,
+                         a.data() + (transpose_a ? row_begin
+                                                 : row_begin * lda),
+                         transpose_a ? 1 : lda, transpose_a ? lda : 1,
+                         b.data(), n, out->row(row_begin), n);
+          return;
+        }
+        float scores[kScoreChunk];
+        for (size_t i = row_begin; i < row_end; ++i) {
+          float* out_row = out->row(i);
+          if (!transpose_a && k == 1) {
+            // dot over one element is 0 + a * b in either table.
+            const float a0 = a(i, 0);
+            for (size_t j = 0; j < n; ++j) {
+              out_row[j] += alpha * (0.0f + a0 * b(j, 0));
             }
           } else if (!transpose_a) {
-            const float* a_row = a.row(i);
-            for (size_t j = 0; j < n; ++j) {
-              out_row[j] += alpha * kern.dot(k, a_row, b.row(j));
+            for (size_t j = 0; j < n; j += kScoreChunk) {
+              const size_t len = std::min(kScoreChunk, n - j);
+              kern.score_block(len, k, a.row(i), b.row(j), nullptr, scores);
+              for (size_t c = 0; c < len; ++c) {
+                out_row[j + c] += alpha * scores[c];
+              }
             }
           } else {
             for (size_t j = 0; j < n; ++j) {
@@ -78,7 +115,7 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
           }
         }
       },
-      util::GrainFor(n * k));
+      util::GrainFor(kRowBlock * n * k));
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -87,33 +124,20 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix Add(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b);
-  Matrix out = a;
-  kernels::Active().axpy(out.size(), 1.0f, b.data(), out.data());
-  return out;
+void Add(const Matrix& a, const Matrix& b, Matrix* out) {
+  ZipInto(a, b, out, [](float x, float y) { return x + y; });
 }
 
-Matrix Sub(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b);
-  Matrix out = a;
-  kernels::Active().axpy(out.size(), -1.0f, b.data(), out.data());
-  return out;
+void Sub(const Matrix& a, const Matrix& b, Matrix* out) {
+  ZipInto(a, b, out, [](float x, float y) { return x - y; });
 }
 
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b);
-  Matrix out = a;
-  const float* bp = b.data();
-  float* op = out.data();
-  for (size_t i = 0; i < out.size(); ++i) op[i] *= bp[i];
-  return out;
+void Hadamard(const Matrix& a, const Matrix& b, Matrix* out) {
+  ZipInto(a, b, out, [](float x, float y) { return x * y; });
 }
 
-Matrix Scale(const Matrix& a, float s) {
-  Matrix out = a;
-  kernels::Active().scale(out.size(), s, out.data());
-  return out;
+void Scale(const Matrix& a, float s, Matrix* out) {
+  MapInto(a, out, [s](float x) { return x * s; });
 }
 
 void Axpy(float alpha, const Matrix& b, Matrix* a) {
@@ -122,72 +146,46 @@ void Axpy(float alpha, const Matrix& b, Matrix* a) {
   kernels::Active().axpy(a->size(), alpha, b.data(), a->data());
 }
 
-void Apply(Matrix* m, float (*fn)(float)) {
-  float* p = m->data();
-  const size_t n = m->size();
-  util::ParallelFor(
-      0, n,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) p[i] = fn(p[i]);
-      },
-      util::GrainFor(1));
+// The transcendental passes cost tens of cycles per element, so they split
+// at a finer grain.
+void Tanh(const Matrix& a, Matrix* out) {
+  MapInto(a, out, [](float x) { return std::tanh(x); }, util::GrainFor(16));
 }
 
-Matrix Tanh(const Matrix& a) {
-  Matrix out = a;
-  Apply(&out, [](float x) { return std::tanh(x); });
-  return out;
+void Relu(const Matrix& a, Matrix* out) {
+  MapInto(a, out, [](float x) { return ReluSelect(x, x); });
 }
 
-Matrix Relu(const Matrix& a) {
-  Matrix out = a;
-  Apply(&out, [](float x) { return x > 0.0f ? x : 0.0f; });
-  return out;
+void Sigmoid(const Matrix& a, Matrix* out) {
+  MapInto(a, out, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
+          util::GrainFor(16));
 }
 
-Matrix Sigmoid(const Matrix& a) {
-  Matrix out = a;
-  Apply(&out, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-  return out;
-}
-
-Matrix RowDot(const Matrix& a, const Matrix& b) {
+void RowDot(const Matrix& a, const Matrix& b, Matrix* out) {
   CheckSameShape(a, b);
+  HOSR_CHECK(out->rows() == a.rows() && out->cols() == 1);
   HOSR_COUNTER("kernels/dot_flops").Increment(2 * a.size());
   const kernels::KernelTable& kern = kernels::Active();
-  Matrix out(a.rows(), 1);
   for (size_t r = 0; r < a.rows(); ++r) {
-    out(r, 0) = kern.dot(a.cols(), a.row(r), b.row(r));
+    (*out)(r, 0) = kern.dot(a.cols(), a.row(r), b.row(r));
   }
-  return out;
 }
 
-Matrix RowSum(const Matrix& a) {
-  Matrix out(a.rows(), 1);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const float* ar = a.row(r);
-    float acc = 0.0f;
-    for (size_t c = 0; c < a.cols(); ++c) acc += ar[c];
-    out(r, 0) = acc;
-  }
-  return out;
-}
-
-Matrix ColSum(const Matrix& a) {
-  Matrix out(1, a.cols());
-  float* op = out.data();
+void ColSum(const Matrix& a, Matrix* out) {
+  HOSR_CHECK(out->rows() == 1 && out->cols() == a.cols());
+  out->SetZero();
+  float* op = out->data();
   for (size_t r = 0; r < a.rows(); ++r) {
     const float* ar = a.row(r);
     for (size_t c = 0; c < a.cols(); ++c) op[c] += ar[c];
   }
-  return out;
 }
 
-Matrix RowSoftmax(const Matrix& a) {
-  Matrix out(a.rows(), a.cols());
+void RowSoftmax(const Matrix& a, Matrix* out) {
+  CheckSameShape(a, *out);
   for (size_t r = 0; r < a.rows(); ++r) {
     const float* ar = a.row(r);
-    float* orow = out.row(r);
+    float* orow = out->row(r);
     float max_val = ar[0];
     for (size_t c = 1; c < a.cols(); ++c) max_val = std::max(max_val, ar[c]);
     float denom = 0.0f;
@@ -198,27 +196,39 @@ Matrix RowSoftmax(const Matrix& a) {
     const float inv = 1.0f / denom;
     for (size_t c = 0; c < a.cols(); ++c) orow[c] *= inv;
   }
-  return out;
 }
 
-Matrix BroadcastColMul(const Matrix& a, const Matrix& scale) {
+void BroadcastColMul(const Matrix& a, const Matrix& scale, Matrix* out) {
   HOSR_CHECK(scale.rows() == a.rows() && scale.cols() == 1)
       << "scale must be (" << a.rows() << " x 1), got " << scale.rows() << "x"
       << scale.cols();
-  Matrix out = a;
-  const kernels::KernelTable& kern = kernels::Active();
-  for (size_t r = 0; r < a.rows(); ++r) {
-    kern.scale(a.cols(), scale(r, 0), out.row(r));
+  CheckSameShape(a, *out);
+  const size_t cols = a.cols();
+  util::ParallelFor(
+      0, a.rows(),
+      [&](size_t begin, size_t end) {
+        for (size_t r = begin; r < end; ++r) {
+          const float s = scale(r, 0);
+          const float* ar = a.row(r);
+          float* orow = out->row(r);
+          for (size_t c = 0; c < cols; ++c) orow[c] = ar[c] * s;
+        }
+      },
+      util::GrainFor(cols));
+}
+
+void GatherRows(const Matrix& a, const std::vector<uint32_t>& indices,
+                Matrix* out) {
+  HOSR_CHECK(out->rows() == indices.size() && out->cols() == a.cols());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    HOSR_CHECK(indices[i] < a.rows()) << indices[i] << " >= " << a.rows();
+    std::copy(a.row(indices[i]), a.row(indices[i]) + a.cols(), out->row(i));
   }
-  return out;
 }
 
 Matrix GatherRows(const Matrix& a, const std::vector<uint32_t>& indices) {
   Matrix out(indices.size(), a.cols());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    HOSR_CHECK(indices[i] < a.rows()) << indices[i] << " >= " << a.rows();
-    std::copy(a.row(indices[i]), a.row(indices[i]) + a.cols(), out.row(i));
-  }
+  GatherRows(a, indices, &out);
   return out;
 }
 

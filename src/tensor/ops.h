@@ -2,6 +2,7 @@
 #define HOSR_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -21,36 +22,46 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
 // Convenience: returns a * b.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-// Element-wise operations; result shapes match inputs.
-Matrix Add(const Matrix& a, const Matrix& b);
-Matrix Sub(const Matrix& a, const Matrix& b);
-Matrix Hadamard(const Matrix& a, const Matrix& b);
-Matrix Scale(const Matrix& a, float s);
+// Element-wise and row-wise operations write `out`, which must already
+// have the result shape and may alias an input. Large ones run across the
+// pool; every element is computed independently, so the split changes no
+// bit.
+void Add(const Matrix& a, const Matrix& b, Matrix* out);
+void Sub(const Matrix& a, const Matrix& b, Matrix* out);
+void Hadamard(const Matrix& a, const Matrix& b, Matrix* out);
+void Scale(const Matrix& a, float s, Matrix* out);
+void Tanh(const Matrix& a, Matrix* out);
+void Relu(const Matrix& a, Matrix* out);
+void Sigmoid(const Matrix& a, Matrix* out);
+
+// x > 0 ? v : 0, as a bit mask rather than a branch: which units are dead
+// is data-dependent, so a branch mispredicts about half the time.
+inline float ReluSelect(float x, float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  bits &= 0u - static_cast<uint32_t>(x > 0.0f);
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
 
 // a += alpha * b (BLAS axpy over the whole buffer).
 void Axpy(float alpha, const Matrix& b, Matrix* a);
 
-// In-place element-wise map.
-void Apply(Matrix* m, float (*fn)(float));
-
-Matrix Tanh(const Matrix& a);
-Matrix Relu(const Matrix& a);
-Matrix Sigmoid(const Matrix& a);
-
 // Row-wise dot products of equally-shaped (n x d) matrices -> (n x 1).
-Matrix RowDot(const Matrix& a, const Matrix& b);
+void RowDot(const Matrix& a, const Matrix& b, Matrix* out);
 
-// Sum over each row -> (n x 1); sum over each column -> (1 x d).
-Matrix RowSum(const Matrix& a);
-Matrix ColSum(const Matrix& a);
+// Sum over each column -> (1 x d); out must not alias a.
+void ColSum(const Matrix& a, Matrix* out);
 
 // Row-wise softmax of an (n x k) matrix (numerically stable).
-Matrix RowSoftmax(const Matrix& a);
+void RowSoftmax(const Matrix& a, Matrix* out);
 
 // Multiplies each row r of `a` (n x d) by scalar `scale(r, 0)` from (n x 1).
-Matrix BroadcastColMul(const Matrix& a, const Matrix& scale);
+void BroadcastColMul(const Matrix& a, const Matrix& scale, Matrix* out);
 
-// Gathers rows: out(i, :) = a(indices[i], :).
+// Gathers rows: out(i, :) = a(indices[i], :); out is (indices x a.cols).
+void GatherRows(const Matrix& a, const std::vector<uint32_t>& indices,
+                Matrix* out);
 Matrix GatherRows(const Matrix& a, const std::vector<uint32_t>& indices);
 
 // Scatter-add: out(indices[i], :) += a(i, :). `out` must be pre-sized.

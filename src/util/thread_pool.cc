@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/logging.h"
 
@@ -90,15 +91,21 @@ void ParallelFor(size_t begin, size_t end,
   const size_t num_chunks =
       std::min(max_chunks, (count + min_chunk - 1) / min_chunk);
   const size_t chunk_size = (count + num_chunks - 1) / num_chunks;
-  for (size_t chunk_begin = begin; chunk_begin < end;
-       chunk_begin += chunk_size) {
-    const size_t chunk_end = std::min(end, chunk_begin + chunk_size);
-    pool.Submit([&body, chunk_begin, chunk_end] {
-      t_inside_parallel_for = true;
-      body(chunk_begin, chunk_end);
-      t_inside_parallel_for = false;
-    });
-  }
+  // The caller and one pool task per other core claim the chunks off a
+  // shared cursor: a call costs a wake-up per helper, not a task per chunk,
+  // and the chunk boundaries do not depend on who runs them.
+  std::atomic<size_t> next_chunk{0};
+  const auto run_chunks = [&] {
+    t_inside_parallel_for = true;
+    for (size_t c; (c = next_chunk.fetch_add(1)) * chunk_size < count;) {
+      const size_t chunk_begin = begin + c * chunk_size;
+      body(chunk_begin, std::min(end, chunk_begin + chunk_size));
+    }
+    t_inside_parallel_for = false;
+  };
+  const size_t helpers = std::min(pool.num_threads(), num_chunks) - 1;
+  for (size_t h = 0; h < helpers; ++h) pool.Submit(run_chunks);
+  run_chunks();
   pool.Wait();
 }
 

@@ -46,8 +46,9 @@ class ThreadPool {
 };
 
 // Splits [begin, end) into contiguous chunks and runs
-// `body(chunk_begin, chunk_end)` across the pool, blocking until all chunks
-// finish. Runs inline when the range is small or the pool has one thread.
+// `body(chunk_begin, chunk_end)` across the pool and the calling thread,
+// blocking until all chunks finish. Runs inline when the range is small or
+// the pool has one thread.
 // `body` must be safe to invoke concurrently on disjoint ranges.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& body,
@@ -63,6 +64,20 @@ inline constexpr size_t kGrainTargetWork = 16 * 1024;
 // an SpMM row). Clamped to [min_grain, max(min_grain, kGrainTargetWork)];
 // zero work_per_item is treated as 1.
 size_t GrainFor(size_t work_per_item, size_t min_grain = 1);
+
+// ParallelFor over single indices: fn(i) for every i in [begin, end), at
+// least `min_chunk` indices per chunk. For element-wise passes, where every
+// index is independent, so no split can change a result.
+template <typename Fn>
+void ParallelForEach(size_t begin, size_t end, const Fn& fn,
+                     size_t min_chunk = kGrainTargetWork) {
+  ParallelFor(
+      begin, end,
+      [&fn](size_t chunk_begin, size_t chunk_end) {
+        for (size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
+      },
+      min_chunk);
+}
 
 }  // namespace hosr::util
 

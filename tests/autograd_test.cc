@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "autograd/gradcheck.h"
 #include "autograd/param.h"
 #include "autograd/tape.h"
 #include "graph/csr.h"
+#include "obs/metrics.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/random.h"
@@ -357,7 +360,8 @@ TEST_F(AutogradTest, SegmentSoftmaxMatchesRowSoftmaxOnUniformSegments) {
   for (size_t r = 0; r < 2; ++r) {
     for (size_t c = 0; c < 3; ++c) rows(r, c) = a->value(r * 3 + c, 0);
   }
-  const Matrix reference = tensor::RowSoftmax(rows);
+  tensor::RowSoftmax(rows, &rows);
+  const Matrix& reference = rows;
   for (size_t r = 0; r < 2; ++r) {
     for (size_t c = 0; c < 3; ++c) {
       EXPECT_NEAR(seg.value()(r * 3 + c, 0), reference(r, c), 1e-5);
@@ -497,6 +501,160 @@ TEST_F(AutogradTest, DropoutBackwardUsesSameMask) {
       EXPECT_NEAR(a->grad.data()[i], 2.0f, 1e-5);
     }
   }
+}
+
+// --- Backward passes that write gradients in place --------------------------------
+//
+// Each op below accumulates straight into its inputs' gradients, writing
+// on a first touch and adding on later ones; every check reaches both.
+
+TEST_F(AutogradTest, GradSpMMIntoLiveGradient) {
+  // x's Hadamard consumer is created after the SpMM, so it runs first and
+  // the SpMM backward adds into a live gradient rather than handing over.
+  Param* x = MakeParam("x", 4, 3);
+  const graph::CsrMatrix sparse = graph::CsrMatrix::FromTriplets(
+      5, 4, {{0, 0, 0.5f}, {0, 3, -1.0f}, {2, 1, 2.0f}, {4, 2, 1.5f},
+             {3, 3, 0.7f}, {1, 0, -0.4f}});
+  const graph::CsrMatrix sparse_t = sparse.Transpose();
+  ExpectGradsOk(
+      [&](Tape* t) {
+        Value xv = t->Param(x);
+        Value s = t->Tanh(t->SpMM(&sparse, &sparse_t, xv));
+        return t->Add(t->Sum(t->Hadamard(s, s)),
+                      t->Sum(t->Hadamard(xv, xv)));
+      },
+      {x});
+}
+
+TEST_F(AutogradTest, GradElementwiseOpsIntoSharedInputs) {
+  Param* a = MakeParam("a", 3, 4);
+  Param* b = MakeParam("b", 3, 4);
+  for (size_t i = 0; i < a->value.size(); ++i) {  // away from ReLU's kink
+    float& v = a->value.data()[i];
+    if (std::fabs(v) < 0.15f) v = v < 0 ? -0.2f : 0.2f;
+  }
+  ExpectGradsOk(
+      [&](Tape* t) {
+        Value x = t->Param(a);
+        Value r = t->Relu(x);
+        Value th = t->Tanh(x);
+        Value s = t->Add(t->Hadamard(r, t->Param(b)), th);
+        Value d = t->Sub(t->Add(s, s), r);
+        return t->Sum(t->Hadamard(d, x));
+      },
+      {a, b});
+}
+
+TEST_F(AutogradTest, GradDropout) {
+  Param* a = MakeParam("a", 4, 5);
+  ExpectGradsOk(
+      [&](Tape* t) {
+        util::Rng rng(17);  // the same mask on every build
+        Value x = t->Param(a);
+        Value y = t->Dropout(x, 0.4f, /*training=*/true, &rng);
+        return t->Sum(t->Hadamard(t->Add(y, x), y));
+      },
+      {a});
+}
+
+TEST_F(AutogradTest, GradBroadcastColMulAndRowDotSharedInputs) {
+  Param* a = MakeParam("a", 4, 3, 0.5f);
+  Param* s = MakeParam("s", 4, 1);
+  ExpectGradsOk(
+      [&](Tape* t) {
+        Value x = t->Param(a);
+        Value y = t->BroadcastColMul(x, t->Param(s));
+        Value z = t->BroadcastColMul(y, t->RowDot(x, y));
+        return t->Sum(t->Hadamard(t->Add(z, y), x));
+      },
+      {a, s});
+}
+
+TEST_F(AutogradTest, GradMatMulTwiceOverSharedLeaves) {
+  // The second product's backward takes fresh gradients (beta = 0), the
+  // first one adds into them (beta = 1).
+  Param* a = MakeParam("a", 3, 4);
+  Param* w = MakeParam("w", 4, 4);
+  Param* h = MakeParam("h", 4, 1);
+  ExpectGradsOk(
+      [&](Tape* t) {
+        Value x = t->Param(a);
+        Value wv = t->Param(w);
+        Value y = t->Tanh(t->MatMul(x, wv));
+        Value z = t->MatMul(t->Add(y, x), wv);
+        return t->Sum(t->MatMul(z, t->Param(h)));
+      },
+      {a, w, h});
+}
+
+// --- Reused tapes -------------------------------------------------------------------
+
+// A miniature HOSR stack: propagation, attention, aggregation.
+Value BuildStack(Tape* t, Param* emb, Param* w, Param* h,
+                 const graph::CsrMatrix* lap) {
+  Value u0 = t->Param(emb);
+  Value h1 = t->Tanh(t->MatMul(t->SpMM(lap, lap, u0), t->Param(w)));
+  Value h2 = t->Tanh(t->MatMul(t->SpMM(lap, lap, h1), t->Param(w)));
+  Value a1 = t->MatMul(t->Relu(t->Add(h1, u0)), t->Param(h));
+  Value a2 = t->MatMul(t->Relu(t->Add(h2, u0)), t->Param(h));
+  Value weights = t->RowSoftmax(t->ConcatCols(a1, a2));
+  Value agg = t->Add(t->BroadcastColMul(h1, t->SliceCols(weights, 0, 1)),
+                     t->BroadcastColMul(h2, t->SliceCols(weights, 1, 1)));
+  return t->Mean(t->Hadamard(agg, agg));
+}
+
+TEST_F(AutogradTest, ResetAndRebuiltTapeIsBitIdentical) {
+  Param* emb = MakeParam("emb", 6, 5, 0.5f);
+  Param* w = MakeParam("w", 5, 5, 0.5f);
+  Param* h = MakeParam("h", 5, 1, 0.5f);
+  const graph::CsrMatrix lap = graph::CsrMatrix::FromTriplets(
+      6, 6, {{0, 0, 1.0f}, {0, 1, 0.5f}, {1, 0, 0.5f}, {1, 1, 0.5f},
+             {2, 2, 1.0f}, {3, 4, 0.7f}, {4, 3, 0.7f}, {5, 5, 1.0f},
+             {2, 5, 0.3f}, {5, 2, 0.3f}});
+  auto run = [&](Tape* tape) {
+    store_.ZeroGrad();
+    Value loss = BuildStack(tape, emb, w, h, &lap);
+    tape->Backward(loss);
+    std::vector<Matrix> out{loss.value()};
+    for (size_t i = 0; i < store_.size(); ++i) {
+      out.push_back(store_.at(i)->grad);
+    }
+    return out;
+  };
+  Tape fresh;
+  const std::vector<Matrix> expected = run(&fresh);
+  Tape reused;
+  run(&reused);
+  for (int rebuild = 0; rebuild < 2; ++rebuild) {
+    reused.Reset();
+    const std::vector<Matrix> actual = run(&reused);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      ASSERT_TRUE(actual[i].SameShape(expected[i]));
+      EXPECT_EQ(0, std::memcmp(actual[i].data(), expected[i].data(),
+                               actual[i].size() * sizeof(float)))
+          << "rebuild " << rebuild << ", matrix " << i;
+    }
+  }
+}
+
+TEST_F(AutogradTest, RebuildingTheSameGraphAllocatesNoMatrices) {
+  Param* emb = MakeParam("emb", 6, 5, 0.5f);
+  Param* w = MakeParam("w", 5, 5, 0.5f);
+  Param* h = MakeParam("h", 5, 1, 0.5f);
+  const graph::CsrMatrix lap = graph::CsrMatrix::FromTriplets(
+      6, 6, {{0, 0, 1.0f}, {1, 1, 0.5f}, {2, 2, 1.0f}, {3, 4, 0.7f},
+             {4, 3, 0.7f}, {5, 5, 1.0f}});
+  obs::Counter& allocated =
+      *obs::Registry::Global().GetCounter("autograd/tape_alloc_bytes");
+  Tape tape;
+  const uint64_t before_first = allocated.Get();
+  tape.Backward(BuildStack(&tape, emb, w, h, &lap));
+  EXPECT_GT(allocated.Get(), before_first);
+  tape.Reset();
+  const uint64_t before_second = allocated.Get();
+  tape.Backward(BuildStack(&tape, emb, w, h, &lap));
+  EXPECT_EQ(allocated.Get(), before_second);
 }
 
 // --- Composite graph (BPR-like) ---------------------------------------------------

@@ -11,6 +11,7 @@
 #include "data/sampler.h"
 #include "data/synthetic.h"
 #include "graph/stats.h"
+#include "temp_path_test_util.h"
 
 namespace hosr::data {
 namespace {
@@ -335,7 +336,7 @@ TEST(IoTest, SaveLoadRoundTrip) {
   const auto original = GenerateSynthetic(config);
   ASSERT_TRUE(original.ok());
 
-  const std::string dir = ::testing::TempDir() + "/hosr_io_test";
+  const std::string dir = test_util::TempPath("hosr_io_test");
   ASSERT_TRUE(SaveDataset(*original, dir).ok());
   const auto loaded = LoadDataset(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -356,7 +357,7 @@ TEST(IoTest, LoadMissingDirectoryFails) {
 }
 
 TEST(IoTest, LoadRejectsMalformedMeta) {
-  const std::string dir = ::testing::TempDir() + "/hosr_io_bad";
+  const std::string dir = test_util::TempPath("hosr_io_bad");
   std::filesystem::create_directories(dir);
   {
     std::ofstream meta(dir + "/meta.tsv");

@@ -13,6 +13,7 @@
 #include "models/bpr_mf.h"
 #include "models/early_stopping.h"
 #include "models/trainer.h"
+#include "temp_path_test_util.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -52,7 +53,7 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
   const tensor::Matrix a_before = a->value;
   const tensor::Matrix w_before = w->value;
 
-  const std::string path = ::testing::TempDir() + "/hosr_ckpt_test.bin";
+  const std::string path = test_util::TempPath("hosr_ckpt_test.bin");
   ASSERT_TRUE(autograd::SaveCheckpoint(store, path).ok());
 
   a->value.Fill(0.0f);
@@ -67,7 +68,7 @@ TEST(CheckpointTest, LoadMatchesByNameNotOrder) {
   util::Rng rng(3);
   autograd::Param* x = source.CreateGaussian("x", 2, 2, 1.0f, &rng);
   autograd::Param* y = source.CreateGaussian("y", 1, 4, 1.0f, &rng);
-  const std::string path = ::testing::TempDir() + "/hosr_ckpt_order.bin";
+  const std::string path = test_util::TempPath("hosr_ckpt_order.bin");
   ASSERT_TRUE(autograd::SaveCheckpoint(source, path).ok());
 
   // Destination declares the parameters in the opposite order.
@@ -84,7 +85,7 @@ TEST(CheckpointTest, LoadMatchesByNameNotOrder) {
 TEST(CheckpointTest, LoadRejectsMissingParam) {
   autograd::ParamStore source;
   source.Create("only", 2, 2);
-  const std::string path = ::testing::TempDir() + "/hosr_ckpt_missing.bin";
+  const std::string path = test_util::TempPath("hosr_ckpt_missing.bin");
   ASSERT_TRUE(autograd::SaveCheckpoint(source, path).ok());
 
   autograd::ParamStore destination;
@@ -97,7 +98,7 @@ TEST(CheckpointTest, LoadRejectsMissingParam) {
 TEST(CheckpointTest, LoadRejectsShapeMismatch) {
   autograd::ParamStore source;
   source.Create("w", 2, 2);
-  const std::string path = ::testing::TempDir() + "/hosr_ckpt_shape.bin";
+  const std::string path = test_util::TempPath("hosr_ckpt_shape.bin");
   ASSERT_TRUE(autograd::SaveCheckpoint(source, path).ok());
 
   autograd::ParamStore destination;
@@ -106,7 +107,7 @@ TEST(CheckpointTest, LoadRejectsShapeMismatch) {
 }
 
 TEST(CheckpointTest, LoadRejectsGarbageFile) {
-  const std::string path = ::testing::TempDir() + "/hosr_ckpt_garbage.bin";
+  const std::string path = test_util::TempPath("hosr_ckpt_garbage.bin");
   {
     std::ofstream out(path);
     out << "definitely not a checkpoint";

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "autograd/gradcheck.h"
 #include "core/hosr.h"
+#include "data/sampler.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "graph/laplacian.h"
@@ -14,6 +16,11 @@
 
 namespace hosr::core {
 namespace {
+
+tensor::Matrix TanhOf(tensor::Matrix m) {
+  tensor::Tanh(m, &m);
+  return m;
+}
 
 data::Dataset TinyDataset() {
   data::Dataset d;
@@ -78,7 +85,7 @@ TEST(HosrPropagationTest, OneLayerMatchesManualEquation5) {
   const tensor::Matrix& u0 = model.params()->Find("user_emb")->value;
   const tensor::Matrix& w1 = model.params()->Find("gcn_w1")->value;
   const tensor::Matrix expected =
-      tensor::Tanh(tensor::MatMul(graph::Spmm(laplacian, u0), w1));
+      TanhOf(tensor::MatMul(graph::Spmm(laplacian, u0), w1));
 
   const tensor::Matrix actual = model.FinalUserEmbeddings();
   EXPECT_TRUE(tensor::AllClose(actual, expected, 1e-5));
@@ -200,9 +207,9 @@ TEST(HosrAttentionTest, AggregationIsConvexCombinationPlusWeights) {
   const graph::CsrMatrix laplacian =
       graph::NormalizedLaplacian(d.social.adjacency());
   const tensor::Matrix& u0 = model.params()->Find("user_emb")->value;
-  const tensor::Matrix h1 = tensor::Tanh(tensor::MatMul(
+  const tensor::Matrix h1 = TanhOf(tensor::MatMul(
       graph::Spmm(laplacian, u0), model.params()->Find("gcn_w1")->value));
-  const tensor::Matrix h2 = tensor::Tanh(tensor::MatMul(
+  const tensor::Matrix h2 = TanhOf(tensor::MatMul(
       graph::Spmm(laplacian, h1), model.params()->Find("gcn_w2")->value));
 
   const tensor::Matrix weights = model.AttentionWeights();
@@ -232,12 +239,13 @@ TEST(HosrAggregationTest, AverageIsLayerMean) {
   const graph::CsrMatrix laplacian =
       graph::NormalizedLaplacian(d.social.adjacency());
   const tensor::Matrix& u0 = model.params()->Find("user_emb")->value;
-  const tensor::Matrix h1 = tensor::Tanh(tensor::MatMul(
+  const tensor::Matrix h1 = TanhOf(tensor::MatMul(
       graph::Spmm(laplacian, u0), model.params()->Find("gcn_w1")->value));
-  const tensor::Matrix h2 = tensor::Tanh(tensor::MatMul(
+  const tensor::Matrix h2 = TanhOf(tensor::MatMul(
       graph::Spmm(laplacian, h1), model.params()->Find("gcn_w2")->value));
-  const tensor::Matrix expected =
-      tensor::Scale(tensor::Add(h1, h2), 0.5f);
+  tensor::Matrix expected(h1.rows(), h1.cols());
+  tensor::Add(h1, h2, &expected);
+  tensor::Scale(expected, 0.5f, &expected);
   EXPECT_TRUE(tensor::AllClose(model.FinalUserEmbeddings(), expected, 1e-5));
 }
 
@@ -428,6 +436,34 @@ TEST(HosrTrainingTest, TransposeBuiltOncePerGraph) {
 
   EXPECT_EQ(builds.Get(), after_construction)
       << "a transpose CSR was rebuilt during training";
+}
+
+TEST(HosrTrainingTest, SecondIdenticalBatchOnAReusedTapeAllocatesNothing) {
+  // The training engine resets one tape per batch; every value and
+  // gradient buffer of the next identical batch comes off its free list.
+  const data::Dataset& d = MediumDataset();
+  Hosr::Config config;
+  config.embedding_dim = 8;
+  config.num_layers = 3;
+  config.seed = 22;
+  Hosr model(d, config);
+  data::BprSampler sampler(&d.interactions, 23);
+  const data::BprBatch batch = sampler.SampleBatch(64);
+  util::Rng rng(24);
+  auto& allocated = HOSR_COUNTER("autograd/tape_alloc_bytes");
+
+  autograd::Tape tape;
+  const uint64_t before_first = allocated.Get();
+  tape.Backward(model.BuildLoss(&tape, batch, &rng));
+  EXPECT_GT(allocated.Get(), before_first);
+  tape.Reset();
+  const uint64_t before_second = allocated.Get();
+  tape.Backward(model.BuildLoss(&tape, batch, &rng));
+  EXPECT_EQ(allocated.Get(), before_second);
+  // /metricsz serves the registry's JSON.
+  EXPECT_NE(obs::Registry::Global().ToJson().find(
+                "\"autograd/tape_alloc_bytes\""),
+            std::string::npos);
 }
 
 }  // namespace

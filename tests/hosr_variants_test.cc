@@ -15,6 +15,16 @@
 namespace hosr::core {
 namespace {
 
+tensor::Matrix TanhOf(tensor::Matrix m) {
+  tensor::Tanh(m, &m);
+  return m;
+}
+
+tensor::Matrix ReluOf(tensor::Matrix m) {
+  tensor::Relu(m, &m);
+  return m;
+}
+
 data::Dataset TinyDataset() {
   data::Dataset d;
   auto interactions = data::InteractionMatrix::FromInteractions(
@@ -81,7 +91,7 @@ TEST(HosrActivationTest, ReluMatchesManualPropagation) {
 
   const graph::CsrMatrix laplacian =
       graph::NormalizedLaplacian(d.social.adjacency());
-  const tensor::Matrix expected = tensor::Relu(tensor::MatMul(
+  const tensor::Matrix expected = ReluOf(tensor::MatMul(
       graph::Spmm(laplacian, model.params()->Find("user_emb")->value),
       model.params()->Find("gcn_w1")->value));
   EXPECT_TRUE(tensor::AllClose(model.FinalUserEmbeddings(), expected, 1e-5));
@@ -96,7 +106,7 @@ TEST(HosrSelfConnectionTest, WithoutSelfLoopsUsesPlainNormalizedAdjacency) {
 
   const graph::CsrMatrix na =
       graph::NormalizedAdjacency(d.social.adjacency());
-  const tensor::Matrix expected = tensor::Tanh(tensor::MatMul(
+  const tensor::Matrix expected = TanhOf(tensor::MatMul(
       graph::Spmm(na, model.params()->Find("user_emb")->value),
       model.params()->Find("gcn_w1")->value));
   EXPECT_TRUE(tensor::AllClose(model.FinalUserEmbeddings(), expected, 1e-5));

@@ -12,6 +12,7 @@
 #include "graph/stats.h"
 #include "models/bpr_mf.h"
 #include "models/trainer.h"
+#include "temp_path_test_util.h"
 
 namespace hosr {
 namespace {
@@ -102,7 +103,7 @@ TEST(IntegrationTest, HosrOutperformsBprOnSocialData) {
 
 TEST(IntegrationTest, DatasetRoundTripPreservesTrainingBehavior) {
   const Pipeline p = MakePipeline(33);
-  const std::string dir = ::testing::TempDir() + "/hosr_integration_io";
+  const std::string dir = test_util::TempPath("hosr_integration_io");
   ASSERT_TRUE(data::SaveDataset(p.dataset, dir).ok());
   const auto reloaded = data::LoadDataset(dir);
   ASSERT_TRUE(reloaded.ok());

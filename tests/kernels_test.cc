@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -49,6 +50,7 @@ TEST(KernelDispatchTest, TablesAreComplete) {
     EXPECT_NE(t->name, nullptr);
     EXPECT_NE(t->axpy, nullptr);
     EXPECT_NE(t->axpy2, nullptr);
+    EXPECT_NE(t->gemm_rows, nullptr);
     EXPECT_NE(t->dot, nullptr);
     EXPECT_NE(t->scale, nullptr);
     EXPECT_NE(t->reduce_max, nullptr);
@@ -190,6 +192,52 @@ TEST(KernelEquivalenceTest, ScoreBlockMatchesDotExactly) {
       for (size_t j = 0; j < items; ++j) {
         EXPECT_EQ(out[j], t->dot(d, u.data(), rows.data() + j * d))
             << t->name << " d=" << d << " item " << j;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, GemmRowsReplaysAxpy2ChainExactly) {
+  // Within one table, gemm_rows must be byte-equal to the axpy2/axpy call
+  // sequence it replaces: row counts with and without a leftover after the
+  // 4-row blocks, widths that reach every register block and scalar tail,
+  // depths odd and even, and a stored both row-major (NN) and transposed
+  // (TN).
+  util::Rng rng(113);
+  for (const KernelTable* t : {&Scalar(), &Best()}) {
+    for (const size_t rows : {1, 4, 7}) {
+      for (const size_t n : {1, 6, 8, 27, 64, 100, 200}) {
+        for (const size_t k : {1, 6, 8, 27, 64}) {
+          for (const bool transposed : {false, true}) {
+            const size_t a_row = transposed ? 1 : k;
+            const size_t a_k = transposed ? rows : 1;
+            const float alpha = transposed ? -0.75f : 1.0f;
+            const auto a = RandomVec(rows * k, &rng);
+            const auto b = RandomVec(k * n, &rng);
+            const auto init = RandomVec(rows * n, &rng);
+            std::vector<float> expected = init;
+            for (size_t r = 0; r < rows; ++r) {
+              const float* ar = a.data() + r * a_row;
+              float* out = expected.data() + r * n;
+              size_t kk = 0;
+              for (; kk + 2 <= k; kk += 2) {
+                t->axpy2(n, alpha * ar[kk * a_k], b.data() + kk * n,
+                         alpha * ar[(kk + 1) * a_k], b.data() + (kk + 1) * n,
+                         out);
+              }
+              if (kk < k) {
+                t->axpy(n, alpha * ar[kk * a_k], b.data() + kk * n, out);
+              }
+            }
+            std::vector<float> actual = init;
+            t->gemm_rows(rows, n, k, alpha, a.data(), a_row, a_k, b.data(),
+                         n, actual.data(), n);
+            EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
+                                     rows * n * sizeof(float)))
+                << t->name << " rows=" << rows << " n=" << n << " k=" << k
+                << " transposed=" << transposed;
+          }
+        }
       }
     }
   }

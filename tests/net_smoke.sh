@@ -60,6 +60,16 @@ if "$LOADGEN" --port="$(cat "$WORK/port1")" --num_requests=1 \
   echo "FAIL: hosr_loadgen accepted --connections=-1" >&2
   exit 1
 fi
+# One past net::kMaxStreamRequests is rejected before the stream is built.
+if "$LOADGEN" --port="$(cat "$WORK/port1")" --num_requests=16777217 \
+    > "$WORK/bad_requests.log" 2>&1; then
+  echo "FAIL: hosr_loadgen accepted --num_requests=16777217" >&2
+  exit 1
+fi
+grep -q num_requests "$WORK/bad_requests.log" || {
+  echo "FAIL: hosr_loadgen rejected --num_requests without naming it" >&2
+  exit 1
+}
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"

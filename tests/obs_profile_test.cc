@@ -30,6 +30,7 @@
 #include "obs/profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "temp_path_test_util.h"
 #include "util/fileio.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -181,9 +182,14 @@ TEST(MetricsQuantileTest, EmptyHistogramOmitsQuantiles) {
 
 // --- Sampling profiler ----------------------------------------------------
 
-// CPU-burning helper the sampler should catch. Declared below with
-// external linkage — internal-linkage (anonymous-namespace) symbols never
-// reach the dynamic symbol table, so dladdr could not name them.
+// CPU-burning helpers the sampler should catch: BurnCpu (above) has
+// external linkage, so dladdr names it through the dynamic symbol table;
+// BurnCpuInternal has internal linkage, as every lambda and
+// anonymous-namespace function does, so only the executable's .symtab
+// names it.
+__attribute__((noinline)) double BurnCpuInternal(double seconds) {
+  return BurnCpu(seconds / 2) + BurnCpu(seconds / 2);
+}
 
 TEST(ProfilerTest, ContinuousSessionCapturesStacks) {
   HOSR_SKIP_UNDER_TSAN();
@@ -224,6 +230,21 @@ TEST(ProfilerTest, ContinuousSessionCapturesStacks) {
   // The CPU burner above must be attributable by symbol (requires the
   // -rdynamic link the build adds for dladdr).
   EXPECT_NE(profile.collapsed.find("BurnCpu"), std::string::npos)
+      << profile.collapsed;
+}
+
+TEST(ProfilerTest, NamesInternalLinkageFunctionsOnOtherThreads) {
+  HOSR_SKIP_UNDER_TSAN();
+  auto& profiler = obs::Profiler::Global();
+  obs::Profiler::Options options;
+  options.hz = 499;
+  ASSERT_TRUE(profiler.Start(options).ok());
+  double acc = 0.0;
+  std::thread burner([&acc] { acc = BurnCpuInternal(0.3); });
+  burner.join();
+  const obs::Profile profile = profiler.StopAndCollect();
+  EXPECT_GT(acc, 0.0);
+  EXPECT_NE(profile.collapsed.find("BurnCpuInternal"), std::string::npos)
       << profile.collapsed;
 }
 
@@ -402,7 +423,7 @@ TEST(TimeseriesTest, StartStopCycleDumpsCrcArtifact) {
   recorder.Stop();
   recorder.Stop();  // idempotent
 
-  const std::string path = ::testing::TempDir() + "/timeseries_dump.json";
+  const std::string path = test_util::TempPath("timeseries_dump.json");
   ASSERT_TRUE(recorder.DumpToFile(path).ok());
   const auto contents = util::ReadFileVerifyCrc(path);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
@@ -419,7 +440,7 @@ TEST(TimeseriesTest, StartStopCycleDumpsCrcArtifact) {
 TEST(TimeseriesRaceTest, MetricsFileSnapshotsRaceRegistration) {
   obs::Registry::Global().ResetForTesting();
   obs::TimeseriesRecorder::Global().ResetForTesting();
-  const std::string path = ::testing::TempDir() + "/recorder_race.json";
+  const std::string path = test_util::TempPath("recorder_race.json");
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   obs::TimeseriesRecorder::Options options;
   options.snapshot_interval_s = 0.005;  // snapshot as hot as possible

@@ -32,6 +32,22 @@ if "$SERVE" --snapshot="$WORK/snap" --num_requests=1 --clients=-1 \
   exit 1
 fi
 
+# Counts that size up-front allocations are bounded too: one past the
+# stream bound (net::kMaxStreamRequests) and past the shard bound
+# (serve::kMaxCacheShards) are rejected before anything is reserved.
+for bad in --num_requests=16777217 --cache_shards=1025; do
+  if "$SERVE" --snapshot="$WORK/snap" --num_requests=1 "$bad" \
+      > "$WORK/bad_count.log" 2>&1; then
+    echo "FAIL: hosr_serve accepted $bad" >&2
+    exit 1
+  fi
+  grep -q -e "${bad%%=*}" "$WORK/bad_count.log" || {
+    echo "FAIL: hosr_serve rejected $bad without naming it" >&2
+    cat "$WORK/bad_count.log" >&2
+    exit 1
+  }
+done
+
 python3 - "$WORK/summary.json" "$WORK/metrics.json" <<'EOF'
 import json, sys
 

@@ -351,6 +351,17 @@ TEST(CacheTest, HitMissAndEviction) {
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
+TEST(CacheTest, ShardCountIsBounded) {
+  // Shards are built up front, so their count has a hard bound; the bound
+  // itself is a valid configuration.
+  ResultCache::Options options;
+  options.capacity = 1 << 20;
+  options.num_shards = kMaxCacheShards;
+  EXPECT_EQ(ResultCache(options).capacity(), options.capacity);
+  options.num_shards = kMaxCacheShards + 1;
+  EXPECT_DEATH(ResultCache cache(options), "num_shards");
+}
+
 TEST(CacheTest, LruRefreshOnGet) {
   ResultCache::Options options;
   options.capacity = 2;

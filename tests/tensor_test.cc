@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <utility>
 
+#include "kernels/kernels.h"
+#include "temp_path_test_util.h"
 #include "tensor/init.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -127,16 +132,94 @@ TEST(GemmTest, LargeMatchesNaive) {
   EXPECT_TRUE(AllClose(fast, naive, 1e-3));
 }
 
+// The row loop tensor::Gemm ran before its register-blocked microkernel:
+// per output row, axpy2 over pairs of B rows (axpy for an odd last one), or
+// one dot per element when B is transposed.
+void ReferenceGemm(const Matrix& a, bool ta, const Matrix& b, bool tb,
+                   float alpha, float beta, Matrix* out) {
+  const kernels::KernelTable& kern = kernels::Active();
+  const size_t k = ta ? a.rows() : a.cols();
+  const size_t n = out->cols();
+  for (size_t i = 0; i < out->rows(); ++i) {
+    float* out_row = out->row(i);
+    if (beta == 0.0f) {
+      std::fill(out_row, out_row + n, 0.0f);
+    } else if (beta != 1.0f) {
+      kern.scale(n, beta, out_row);
+    }
+    if (tb) {
+      for (size_t j = 0; j < n; ++j) {
+        out_row[j] += alpha * kern.dot(k, a.row(i), b.row(j));
+      }
+      continue;
+    }
+    size_t kk = 0;
+    for (; kk + 2 <= k; kk += 2) {
+      const float a0 = ta ? a(kk, i) : a(i, kk);
+      const float a1 = ta ? a(kk + 1, i) : a(i, kk + 1);
+      kern.axpy2(n, alpha * a0, b.row(kk), alpha * a1, b.row(kk + 1),
+                 out_row);
+    }
+    if (kk < k) {
+      kern.axpy(n, alpha * (ta ? a(kk, i) : a(i, kk)), b.row(kk), out_row);
+    }
+  }
+}
+
+TEST(GemmTest, ByteEqualToTheAxpy2AndDotChainsUnderBothTables) {
+  // NN, TN (the gemm_row microkernel) and NT (score_block) over HOSR's
+  // shapes: m up to the 2,116 users of the benchmark dataset, widths that
+  // reach every register block and scalar tail, n = 1 (the attention
+  // vector) and k = 1 (its backward).
+  util::Rng rng(5);
+  for (const kernels::KernelTable* table :
+       {&kernels::Scalar(), &kernels::Best()}) {
+    kernels::SetActiveForTesting(table);
+    for (const size_t m : {1, 7, 2116}) {
+      for (const size_t n : {1, 6, 8, 27, 64}) {
+        for (const size_t k : {1, 6, 8, 27, 64}) {
+          for (const auto& [ta, tb] : {std::pair{false, false},
+                                      std::pair{true, false},
+                                      std::pair{false, true}}) {
+            Matrix a(ta ? k : m, ta ? m : k), b(tb ? n : k, tb ? k : n);
+            GaussianInit(&a, 1.0f, &rng);
+            GaussianInit(&b, 1.0f, &rng);
+            Matrix expected(m, n);
+            GaussianInit(&expected, 1.0f, &rng);
+            Matrix actual = expected;
+            const float alpha = m == 7 ? -0.5f : 1.0f;
+            const float beta = m == 1 ? 0.0f : (m == 7 ? 0.25f : 1.0f);
+            ReferenceGemm(a, ta, b, tb, alpha, beta, &expected);
+            Gemm(a, ta, b, tb, alpha, beta, &actual);
+            EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
+                                     expected.size() * sizeof(float)))
+                << table->name << " m=" << m << " n=" << n << " k=" << k
+                << " ta=" << ta << " tb=" << tb;
+          }
+        }
+      }
+    }
+  }
+  kernels::SetActiveForTesting(nullptr);
+}
+
 // --- Element-wise ops ---------------------------------------------------------
 
 TEST(OpsTest, AddSubHadamardScale) {
   const Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
   const Matrix b = Matrix::FromRows({{10, 20}, {30, 40}});
-  EXPECT_TRUE(AllClose(Add(a, b), Matrix::FromRows({{11, 22}, {33, 44}})));
-  EXPECT_TRUE(AllClose(Sub(b, a), Matrix::FromRows({{9, 18}, {27, 36}})));
-  EXPECT_TRUE(
-      AllClose(Hadamard(a, b), Matrix::FromRows({{10, 40}, {90, 160}})));
-  EXPECT_TRUE(AllClose(Scale(a, 2.0f), Matrix::FromRows({{2, 4}, {6, 8}})));
+  Matrix out(2, 2);
+  Add(a, b, &out);
+  EXPECT_TRUE(AllClose(out, Matrix::FromRows({{11, 22}, {33, 44}})));
+  Sub(b, a, &out);
+  EXPECT_TRUE(AllClose(out, Matrix::FromRows({{9, 18}, {27, 36}})));
+  Hadamard(a, b, &out);
+  EXPECT_TRUE(AllClose(out, Matrix::FromRows({{10, 40}, {90, 160}})));
+  Scale(a, 2.0f, &out);
+  EXPECT_TRUE(AllClose(out, Matrix::FromRows({{2, 4}, {6, 8}})));
+  // The output may alias an input.
+  Add(out, b, &out);
+  EXPECT_TRUE(AllClose(out, Matrix::FromRows({{12, 24}, {36, 48}})));
 }
 
 TEST(OpsTest, Axpy) {
@@ -148,9 +231,10 @@ TEST(OpsTest, Axpy) {
 
 TEST(OpsTest, ActivationsMatchStd) {
   const Matrix x = Matrix::FromRows({{-2, -0.5, 0, 0.5, 2}});
-  const Matrix t = Tanh(x);
-  const Matrix r = Relu(x);
-  const Matrix s = Sigmoid(x);
+  Matrix t(1, 5), r(1, 5), s(1, 5);
+  Tanh(x, &t);
+  Relu(x, &r);
+  Sigmoid(x, &s);
   for (size_t c = 0; c < 5; ++c) {
     EXPECT_NEAR(t(0, c), std::tanh(x(0, c)), 1e-6);
     EXPECT_FLOAT_EQ(r(0, c), std::max(0.0f, x(0, c)));
@@ -161,20 +245,20 @@ TEST(OpsTest, ActivationsMatchStd) {
 TEST(OpsTest, RowDotAndSums) {
   const Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
   const Matrix b = Matrix::FromRows({{5, 6}, {7, 8}});
-  const Matrix dot = RowDot(a, b);
+  Matrix dot(2, 1);
+  RowDot(a, b, &dot);
   EXPECT_FLOAT_EQ(dot(0, 0), 17.0f);
   EXPECT_FLOAT_EQ(dot(1, 0), 53.0f);
-  const Matrix rs = RowSum(a);
-  EXPECT_FLOAT_EQ(rs(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(rs(1, 0), 7.0f);
-  const Matrix cs = ColSum(a);
+  Matrix cs(1, 2, 99.0f);  // overwritten, not accumulated into
+  ColSum(a, &cs);
   EXPECT_FLOAT_EQ(cs(0, 0), 4.0f);
   EXPECT_FLOAT_EQ(cs(0, 1), 6.0f);
 }
 
 TEST(OpsTest, RowSoftmaxRowsSumToOne) {
   const Matrix x = Matrix::FromRows({{1, 2, 3}, {-5, 0, 5}, {100, 100, 100}});
-  const Matrix s = RowSoftmax(x);
+  Matrix s(3, 3);
+  RowSoftmax(x, &s);
   for (size_t r = 0; r < 3; ++r) {
     float sum = 0;
     for (size_t c = 0; c < 3; ++c) {
@@ -191,8 +275,8 @@ TEST(OpsTest, RowSoftmaxRowsSumToOne) {
 }
 
 TEST(OpsTest, RowSoftmaxHandlesExtremeLogits) {
-  const Matrix x = Matrix::FromRows({{1000, -1000}});
-  const Matrix s = RowSoftmax(x);
+  Matrix s = Matrix::FromRows({{1000, -1000}});
+  RowSoftmax(s, &s);  // in place
   EXPECT_NEAR(s(0, 0), 1.0f, 1e-6);
   EXPECT_NEAR(s(0, 1), 0.0f, 1e-6);
 }
@@ -200,8 +284,9 @@ TEST(OpsTest, RowSoftmaxHandlesExtremeLogits) {
 TEST(OpsTest, BroadcastColMul) {
   const Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
   const Matrix s = Matrix::FromRows({{2}, {10}});
-  EXPECT_TRUE(
-      AllClose(BroadcastColMul(a, s), Matrix::FromRows({{2, 4}, {30, 40}})));
+  Matrix out(2, 2);
+  BroadcastColMul(a, s, &out);
+  EXPECT_TRUE(AllClose(out, Matrix::FromRows({{2, 4}, {30, 40}})));
 }
 
 TEST(OpsTest, GatherScatterRoundTrip) {
@@ -284,7 +369,7 @@ TEST(SerializeTest, StreamRoundTrip) {
 
 TEST(SerializeTest, FileRoundTrip) {
   Matrix m = Matrix::FromRows({{1, 2, 3}});
-  const std::string path = ::testing::TempDir() + "/hosr_matrix_test.bin";
+  const std::string path = test_util::TempPath("hosr_matrix_test.bin");
   ASSERT_TRUE(SaveMatrix(m, path).ok());
   const auto loaded = LoadMatrix(path);
   ASSERT_TRUE(loaded.ok());

@@ -57,10 +57,11 @@ const data::Dataset& TestDataset() {
 
 using ModelFactory = std::function<std::unique_ptr<models::RankingModel>()>;
 
-ModelFactory ZooFactory(const std::string& name, float hosr_dropout = 0.2f) {
-  return [name, hosr_dropout] {
+ModelFactory ZooFactory(const std::string& name, float hosr_dropout = 0.2f,
+                        uint32_t embedding_dim = 6) {
+  return [name, hosr_dropout, embedding_dim] {
     core::ZooConfig zoo;
-    zoo.embedding_dim = 6;
+    zoo.embedding_dim = embedding_dim;
     zoo.hosr_layers = 2;
     zoo.hosr_graph_dropout = hosr_dropout;
     auto model = core::MakeModel(name, TestDataset(), zoo);
@@ -139,6 +140,10 @@ std::vector<GoldenModel> GoldenModels() {
        0x9e35fefbu},
       {"HOSR-Joint", ExtensionFactory<core::HosrJoint>(), 0xba1f9464u,
        0x5f57a32du},
+      // d = 27 = 16 + 8 + 3 reaches every SIMD body, epilogue and scalar
+      // tail of the Gemm/SpMM kernels; the d = 6 runs above never leave the
+      // scalar tails. Recorded before the register-blocked Gemm landed.
+      {"HOSR/d=27", ZooFactory("HOSR", 0.2f, 27), 0x0299183au, 0x3a52e570u},
   };
 }
 

@@ -11,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "temp_path_test_util.h"
 #include "util/fileio.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -415,7 +416,7 @@ TEST(TableTest, WriteCsvAndCount) {
   t.AddRow({"v"});
   EXPECT_EQ(t.num_rows(), 1u);
   EXPECT_EQ(t.num_cols(), 1u);
-  const std::string path = ::testing::TempDir() + "/hosr_table_test.csv";
+  const std::string path = test_util::TempPath("hosr_table_test.csv");
   ASSERT_TRUE(t.WriteCsv(path).ok());
   std::ifstream in(path);
   std::string line;
@@ -504,7 +505,7 @@ TEST(GrainForTest, MinGrainIsHonored) {
 TEST(AtomicWriteFileTest, ConcurrentWritersOfOnePathNeedNoLock) {
   // Threads of one process writing the same path must not share a temp
   // file: every Commit succeeds and the survivor is one whole payload.
-  const std::string path = ::testing::TempDir() + "/hosr_atomic_race.txt";
+  const std::string path = test_util::TempPath("hosr_atomic_race.txt");
   constexpr int kThreads = 8;
   constexpr int kWritesPerThread = 50;
   std::vector<std::string> payloads;

@@ -163,7 +163,8 @@ int main(int argc, char** argv) {
   // error, never a wrapped size_t.
   const auto default_k = flags.GetUint32("k", 10, 1, info->num_items);
   if (!default_k.ok()) return Fail(default_k.status());
-  const auto num_requests = flags.GetUint32("num_requests", 10000);
+  const auto num_requests =
+      flags.GetUint32("num_requests", 10000, 0, net::kMaxStreamRequests);
   if (!num_requests.ok()) return Fail(num_requests.status());
   const auto connections_flag =
       flags.GetUint32("connections", 4, 0, net::kMaxToolThreads);

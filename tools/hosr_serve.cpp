@@ -134,13 +134,15 @@ util::Status ReadCounts(const util::Flags& flags, uint32_t num_items,
                         Counts* c) {
   HOSR_ASSIGN_OR_RETURN(c->k, flags.GetUint32("k", 10, 1, num_items));
   HOSR_ASSIGN_OR_RETURN(c->num_requests,
-                        flags.GetUint32("num_requests", 10000));
+                        flags.GetUint32("num_requests", 10000, 0,
+                                        net::kMaxStreamRequests));
   HOSR_ASSIGN_OR_RETURN(c->clients,
                         flags.GetUint32("clients", 0, 0, net::kMaxToolThreads));
   HOSR_ASSIGN_OR_RETURN(c->cache_capacity,
                         flags.GetUint32("cache_capacity", 65536));
   HOSR_ASSIGN_OR_RETURN(c->cache_shards,
-                        flags.GetUint32("cache_shards", 16, 1));
+                        flags.GetUint32("cache_shards", 16, 1,
+                                        serve::kMaxCacheShards));
   HOSR_ASSIGN_OR_RETURN(
       c->retries,
       flags.GetUint32("retries", 2, 0, serve::kMaxAttemptsPerRequest - 2));
